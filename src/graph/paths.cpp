@@ -50,11 +50,13 @@ DijkstraWorkspace& dijkstra_workspace() {
 std::optional<Path> shortest_path(const DirectedGraph& g, NodeId src,
                                   NodeId dst, const EdgeCostFn& cost,
                                   const NodeFilterFn& filter) {
-  if (!filter) {
-    return shortest_path_with(g, src, dst, cost, AdmitAll{});
-  }
-  return shortest_path_with(g, src, dst, cost,
-                            [&](NodeId u) { return filter(u); });
+  Path path;
+  const bool found =
+      filter ? shortest_path_into(g, src, dst, cost,
+                                  [&](NodeId u) { return filter(u); }, path)
+             : shortest_path_into(g, src, dst, cost, AdmitAll{}, path);
+  if (!found) return std::nullopt;
+  return path;
 }
 
 std::vector<int> bfs_distances(const DirectedGraph& g, NodeId src,

@@ -44,29 +44,31 @@ struct DijkstraWorkspace {
 };
 
 /// The calling thread's workspace (one instance shared by every
-/// instantiation of shortest_path_with, so template callers and the
+/// instantiation of shortest_path_into, so template callers and the
 /// std::function wrapper reuse the same buffers).
 DijkstraWorkspace& dijkstra_workspace();
 
 }  // namespace detail
 
-/// Dijkstra shortest path from src to dst, templated over the cost and
+/// Dijkstra shortest path from src to dst, written into the caller-owned
+/// `out` (overwritten; its vectors' capacity is reused, so a warm call
+/// allocates nothing). Returns false, leaving `out` unspecified, when dst is
+/// unreachable or an endpoint is not admitted. Templated over the cost and
 /// admission functors so hot callers (the routing engine's inner loops) pay
 /// direct calls instead of std::function dispatch. The heap is driven with
 /// push_heap/pop_heap under the same comparator that std::priority_queue
-/// uses, so the settle order — and therefore the tie-breaking among
-/// equal-cost paths — matches the historical implementation exactly; the
-/// std::function-based shortest_path() below delegates here and is
-/// bit-identical by construction.
+/// uses, so the (dist, id) settle order — and with the strict-< relaxation,
+/// the tie-breaking among equal-cost paths — matches the historical
+/// implementation exactly.
 template <typename CostFn, typename FilterFn>
-std::optional<Path> shortest_path_with(const DirectedGraph& g, NodeId src,
-                                       NodeId dst, const CostFn& cost,
-                                       const FilterFn& filter) {
+bool shortest_path_into(const DirectedGraph& g, NodeId src, NodeId dst,
+                        const CostFn& cost, const FilterFn& filter,
+                        Path& out) {
   const auto n = static_cast<std::size_t>(g.num_nodes());
   if (src < 0 || dst < 0 || src >= g.num_nodes() || dst >= g.num_nodes()) {
     throw std::out_of_range("shortest_path: endpoint out of range");
   }
-  if (!filter(src) || !filter(dst)) return std::nullopt;
+  if (!filter(src) || !filter(dst)) return false;
 
   constexpr double kInf = std::numeric_limits<double>::infinity();
 
@@ -80,6 +82,9 @@ std::optional<Path> shortest_path_with(const DirectedGraph& g, NodeId src,
   auto& via = ws.via;
   auto& done = ws.done;
   auto& heap = ws.heap;
+  // Edge ids come from the graph's own adjacency lists, so the relaxation
+  // loop indexes the edge array directly instead of through edge()'s .at().
+  const Edge* edges = g.edges().data();
 
   dist[static_cast<std::size_t>(src)] = 0.0;
   heap.emplace_back(0.0, src);
@@ -92,7 +97,7 @@ std::optional<Path> shortest_path_with(const DirectedGraph& g, NodeId src,
     done[static_cast<std::size_t>(u)] = 1;
     if (u == dst) break;
     for (EdgeId e : g.out_edges(u)) {
-      const NodeId v = g.edge(e).dst;
+      const NodeId v = edges[e].dst;
       if (!filter(v) || done[static_cast<std::size_t>(v)] != 0) {
         continue;
       }
@@ -110,21 +115,27 @@ std::optional<Path> shortest_path_with(const DirectedGraph& g, NodeId src,
     }
   }
 
-  if (dist[static_cast<std::size_t>(dst)] == kInf) return std::nullopt;
+  if (dist[static_cast<std::size_t>(dst)] == kInf) return false;
 
-  Path path;
-  path.cost = dist[static_cast<std::size_t>(dst)];
-  NodeId cur = dst;
-  while (cur != src) {
-    const EdgeId e = via[static_cast<std::size_t>(cur)];
-    path.edges.push_back(e);
-    path.nodes.push_back(cur);
-    cur = g.edge(e).src;
+  // Walk the predecessor chain once to size the path, then fill it back to
+  // front: resize() on a warm path reuses its capacity.
+  std::size_t hops = 0;
+  for (NodeId cur = dst; cur != src;
+       cur = edges[via[static_cast<std::size_t>(cur)]].src) {
+    ++hops;
   }
-  path.nodes.push_back(src);
-  std::reverse(path.nodes.begin(), path.nodes.end());
-  std::reverse(path.edges.begin(), path.edges.end());
-  return path;
+  out.nodes.resize(hops + 1);
+  out.edges.resize(hops);
+  out.cost = dist[static_cast<std::size_t>(dst)];
+  NodeId cur = dst;
+  for (std::size_t i = hops; i > 0; --i) {
+    const EdgeId e = via[static_cast<std::size_t>(cur)];
+    out.nodes[i] = cur;
+    out.edges[i - 1] = e;
+    cur = edges[e].src;
+  }
+  out.nodes[0] = src;
+  return true;
 }
 
 /// Admission functor admitting every node (the unfiltered template case).
@@ -135,7 +146,7 @@ struct AdmitAll {
 /// Dijkstra shortest path from src to dst under `cost`, optionally restricted
 /// to nodes admitted by `filter` (src and dst must themselves be admitted).
 /// Returns std::nullopt if dst is unreachable. Type-erased convenience
-/// wrapper over shortest_path_with().
+/// wrapper over shortest_path_into() for callers off the hot path.
 std::optional<Path> shortest_path(const DirectedGraph& g, NodeId src,
                                   NodeId dst, const EdgeCostFn& cost,
                                   const NodeFilterFn& filter = nullptr);

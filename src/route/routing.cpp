@@ -14,6 +14,18 @@ namespace {
 /// with already-routed traffic).
 constexpr double kHopCost = 1e9;
 
+/// Per-thread split-all workspace: the chunk loads placed so far by the
+/// current call and the resulting per-edge Dijkstra costs.
+struct SplitAllScratch {
+  std::vector<double> extra;
+  std::vector<double> edge_cost;
+};
+
+SplitAllScratch& split_all_scratch() {
+  static thread_local SplitAllScratch scratch;
+  return scratch;
+}
+
 }  // namespace
 
 const char* to_string(RoutingKind kind) {
@@ -116,18 +128,19 @@ RoutingEngine::RoutingEngine(const topo::Topology& topology, RoutingKind kind,
 
 void RoutingEngine::route(topo::SlotId src, topo::SlotId dst, double demand,
                           const LoadMap& loads, RouteSet& out) const {
-  out.paths.clear();
   if (src == dst) {
     throw std::invalid_argument("RoutingEngine: src and dst slots coincide");
   }
   switch (kind_) {
     case RoutingKind::kDimensionOrdered:
+      out.paths.clear();
       route_dimension_ordered(src, dst, out);
       return;
     case RoutingKind::kMinPath:
       route_min_path(src, dst, loads, out);
       return;
     case RoutingKind::kSplitMin:
+      out.paths.clear();
       route_split_min(src, dst, out);
       return;
     case RoutingKind::kSplitAll:
@@ -156,17 +169,22 @@ void RoutingEngine::route_min_path(topo::SlotId src, topo::SlotId dst,
   // Direct template instantiation: this is the hottest loop of the whole
   // mapping search (every adaptive-routing evaluation runs one Dijkstra per
   // commodity per pass), so the cost/admission callbacks must inline rather
-  // than go through std::function dispatch.
-  const auto path = graph::shortest_path_with(
-      topology_.switch_graph(), topology_.ingress_switch(src),
-      topology_.egress_switch(dst),
-      [&](graph::EdgeId e) { return kHopCost + loads.load(e); },
-      [&](graph::NodeId u) { return admitted[static_cast<std::size_t>(u)] != 0; });
-  if (!path) {
+  // than go through std::function dispatch. The path lands straight in
+  // out's first WeightedPath, reusing whatever capacity it already has.
+  out.paths.resize(1);
+  WeightedPath& only = out.paths.front();
+  only.fraction = 1.0;
+  if (!graph::shortest_path_into(
+          topology_.switch_graph(), topology_.ingress_switch(src),
+          topology_.egress_switch(dst),
+          [&](graph::EdgeId e) { return kHopCost + loads.load(e); },
+          [&](graph::NodeId u) {
+            return admitted[static_cast<std::size_t>(u)] != 0;
+          },
+          only.path)) {
     throw std::logic_error(
         "RoutingEngine: quadrant graph disconnected (topology bug)");
   }
-  out.paths.push_back(WeightedPath{*path, 1.0});
 }
 
 void RoutingEngine::route_split_min(topo::SlotId src, topo::SlotId dst,
@@ -275,40 +293,57 @@ void RoutingEngine::route_split_all(topo::SlotId src, topo::SlotId dst,
   // capacity hint, which is what lets the heavy MPEG4 SDRAM flows spread
   // around already-loaded links instead of stacking onto them.
   constexpr double kOverloadPenalty = 1e7;
-  std::vector<double> extra(static_cast<std::size_t>(g.num_edges()), 0.0);
+  const double capacity = options_.capacity_hint_mbps;
+  const auto edge_cost = [&](double current) {
+    double cost = hop_bias + current + chunk * 0.5;
+    if (current + chunk > capacity + 1e-9) cost += kOverloadPenalty;
+    return cost;
+  };
+
+  // Each edge's cost is derived once per call and then only for the edges
+  // of each placed chunk's path — the only ones whose chunk load changed.
+  SplitAllScratch& scratch = split_all_scratch();
+  const auto num_edges = static_cast<std::size_t>(g.num_edges());
+  scratch.extra.assign(num_edges, 0.0);
+  scratch.edge_cost.resize(num_edges);
+  double* extra = scratch.extra.data();
+  double* cost = scratch.edge_cost.data();
+  for (std::size_t e = 0; e < num_edges; ++e) {
+    cost[e] = edge_cost(loads.load(static_cast<graph::EdgeId>(e)) + extra[e]);
+  }
+
+  // out's WeightedPaths are overwritten in place: slot `used` receives each
+  // chunk's path and is kept only when it differs from every path so far
+  // (identical chunk paths merge to keep the set small).
+  const double chunk_fraction = 1.0 / static_cast<double>(split_chunks);
+  std::size_t used = 0;
   for (int c = 0; c < split_chunks; ++c) {
-    auto path = graph::shortest_path_with(
-        g, from, to,
-        [&](graph::EdgeId e) {
-          const double current =
-              loads.load(e) + extra[static_cast<std::size_t>(e)];
-          double cost = hop_bias + current + chunk * 0.5;
-          if (current + chunk > options_.capacity_hint_mbps + 1e-9) {
-            cost += kOverloadPenalty;
-          }
-          return cost;
-        },
-        graph::AdmitAll{});
-    if (!path) {
+    if (used == out.paths.size()) out.paths.emplace_back();
+    graph::Path& path = out.paths[used].path;
+    if (!graph::shortest_path_into(
+            g, from, to,
+            [cost](graph::EdgeId e) {
+              return cost[static_cast<std::size_t>(e)];
+            },
+            graph::AdmitAll{}, path)) {
       throw std::logic_error("RoutingEngine: topology disconnected");
     }
-    for (graph::EdgeId e : path->edges) {
-      extra[static_cast<std::size_t>(e)] += chunk;
+    for (graph::EdgeId e : path.edges) {
+      const auto i = static_cast<std::size_t>(e);
+      extra[i] += chunk;
+      cost[i] = edge_cost(loads.load(e) + extra[i]);
     }
-    // Merge identical consecutive chunk paths to keep the set small.
     bool merged = false;
-    for (auto& wp : out.paths) {
-      if (wp.path.nodes == path->nodes) {
-        wp.fraction += 1.0 / static_cast<double>(split_chunks);
+    for (std::size_t i = 0; i < used; ++i) {
+      if (out.paths[i].path.nodes == path.nodes) {
+        out.paths[i].fraction += chunk_fraction;
         merged = true;
         break;
       }
     }
-    if (!merged) {
-      out.paths.push_back(
-          WeightedPath{*path, 1.0 / static_cast<double>(split_chunks)});
-    }
+    if (!merged) out.paths[used++].fraction = chunk_fraction;
   }
+  out.paths.resize(used);
 }
 
 }  // namespace sunmap::route

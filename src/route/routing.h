@@ -187,10 +187,13 @@ class RoutingEngine {
   }
 
   /// Routes `demand` MB/s from slot src to slot dst given the traffic
-  /// already routed (`loads`), writing the result into `out` (cleared
-  /// first). The out-param keeps the hot path allocation-free once the
-  /// caller's RouteSet capacity has warmed up. Does not modify `loads`; the
-  /// caller accumulates via LoadMap::add_route, matching Fig 5 steps 4-6.
+  /// already routed (`loads`), writing the result into `out`. Whatever `out`
+  /// held is overwritten: afterwards it holds exactly the new route set,
+  /// and the adaptive functions (MP, SA) write into its existing
+  /// WeightedPath buffers, so a caller that reuses one RouteSet routes
+  /// without allocating once its capacity has warmed up. If route() throws,
+  /// `out` is left unspecified. Does not modify `loads`; the caller
+  /// accumulates via LoadMap::add_route, matching Fig 5 steps 4-6.
   void route(topo::SlotId src, topo::SlotId dst, double demand,
              const LoadMap& loads, RouteSet& out) const;
 

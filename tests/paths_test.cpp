@@ -70,6 +70,28 @@ TEST(ShortestPath, NegativeCostThrows) {
                std::invalid_argument);
 }
 
+TEST(ShortestPath, IntoOverwritesStalePath) {
+  const auto g = diamond();
+  Path out;
+  out.nodes.assign(9, 1);
+  out.edges.assign(8, 4);
+  out.cost = -1.0;
+  ASSERT_TRUE(shortest_path_into(
+      g, 0, 3, [&g](EdgeId e) { return g.edge(e).weight; }, AdmitAll{}, out));
+  const auto expected = shortest_path(g, 0, 3, weight_cost(g));
+  ASSERT_TRUE(expected.has_value());
+  EXPECT_EQ(out.nodes, expected->nodes);
+  EXPECT_EQ(out.edges, expected->edges);
+  EXPECT_EQ(out.cost, expected->cost);
+
+  // A shorter path afterwards leaves no tail of the longer one behind.
+  ASSERT_TRUE(shortest_path_into(
+      g, 2, 2, [&g](EdgeId e) { return g.edge(e).weight; }, AdmitAll{}, out));
+  EXPECT_EQ(out.nodes, (std::vector<NodeId>{2}));
+  EXPECT_TRUE(out.edges.empty());
+  EXPECT_EQ(out.cost, 0.0);
+}
+
 TEST(ShortestPath, EdgesMatchNodes) {
   const auto g = diamond();
   const auto path = shortest_path(g, 0, 3, weight_cost(g));

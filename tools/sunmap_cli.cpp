@@ -24,6 +24,7 @@
 #include <iostream>
 #include <limits>
 #include <optional>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -164,7 +165,12 @@ Daemon mode:
                       parallel, requests sharing a context pool queue on
                       it (default 1)
   --call <socket>     submit THIS command line's --app/--objective/... as a
-                      request to a running daemon and print the JSON reply
+                      request to a running daemon and print the JSON reply;
+                      only --app, --objective, --routing, --bandwidth,
+                      --max-area, --search, --restarts, --swap-passes,
+                      --extensions and --threads are forwarded, and any
+                      other evaluation flag (--faults, --sim-*, --w-*,
+                      --fplan-*, ...) is refused with exit status 2
   --help              this text
 )";
 }
@@ -684,6 +690,10 @@ int main(int argc, char** argv) {
   std::vector<std::string> objectives, routings, bandwidths, max_areas,
       searches, restarts, swap_passes, fplan_engines, fplan_sizing;
 
+  // Every flag given, in command-line order, so --call can name the ones a
+  // daemon request cannot carry.
+  std::vector<std::string> flags_given;
+
   std::string command_line;
   for (int i = 0; i < argc; ++i) {
     if (i > 0) command_line += ' ';
@@ -700,6 +710,7 @@ int main(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    flags_given.push_back(arg);
     try {
       if (arg == "--help" || arg == "-h") {
         usage();
@@ -865,6 +876,28 @@ int main(int argc, char** argv) {
     if (app_name.empty()) {
       std::cerr << "--call needs --app (daemon requests name built-in "
                    "apps)\n";
+      return 2;
+    }
+    // A daemon request carries only these fields; the daemon would answer
+    // any other flag with its default silently, so refuse it instead.
+    // --sweep (daemon requests are always sweeps) and --json (written here)
+    // are honoured client-side.
+    static const std::set<std::string> kForwarded = {
+        "--app",        "--objective", "--routing",  "--bandwidth",
+        "--max-area",   "--search",    "--restarts", "--swap-passes",
+        "--extensions", "--threads",   "--call",     "--sweep",
+        "--json"};
+    std::vector<std::string> refused;
+    for (const auto& flag : flags_given) {
+      if (kForwarded.count(flag) == 0 &&
+          std::find(refused.begin(), refused.end(), flag) == refused.end()) {
+        refused.push_back(flag);
+      }
+    }
+    if (!refused.empty()) {
+      std::cerr << "error: --call cannot forward";
+      for (const auto& flag : refused) std::cerr << ' ' << flag;
+      std::cerr << " to the daemon; run without --call\n";
       return 2;
     }
     std::string request_text = "app=" + app_name + "\n";
