@@ -166,17 +166,9 @@ void MapperConfig::validate() const {
   if (num_threads < 1) {
     fail("num_threads must be >= 1, got " + std::to_string(num_threads));
   }
-  if (sim_finalists < 0) {
-    fail("sim_finalists must be >= 0, got " + std::to_string(sim_finalists));
-  }
   if (!(sim_flits_per_cycle_per_gbps > 0.0)) {
     fail("sim_flits_per_cycle_per_gbps must be positive, got " +
          num(sim_flits_per_cycle_per_gbps));
-  }
-  if (sim_rank && sim_finalists < 1) {
-    fail("sim_rank requires sim_finalists >= 1 (the analytical prefilter "
-         "that picks the cells to re-rank), got sim_finalists=" +
-         std::to_string(sim_finalists));
   }
   if (sim_seed == 0) {
     fail("sim_seed must be >= 1 (0 is reserved as \"not a seed\"), got 0");

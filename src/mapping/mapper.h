@@ -176,24 +176,15 @@ struct MapperConfig {
   int num_threads = 1;
 
   /// Simulator-backed finalist tier (consumed by the explorer and the CLI,
-  /// not by Mapper::map itself): after the analytically-pruned search, the
-  /// flit-level simulator re-scores the top-K feasible candidates per
-  /// objective with contention-aware delay. 0 disables the tier.
-  int sim_finalists = 0;
-  /// Simulation engine for the finalist tier and --sim-validate: the
+  /// not by Mapper::map itself; ExplorationRequest::sim_finalists and
+  /// sim_rank choose how many finalists to simulate and whether to re-rank
+  /// them). Simulation engine for the finalist tier and --sim-validate: the
   /// event-driven engine (default) or the cycle-stepped reference. Both are
   /// bit-identical; the flag exists for A/B checks and perf probes.
   bool sim_use_event_engine = true;
   /// MB/s -> flits/cycle conversion for the simulated application trace
   /// (sim::TraceTraffic's scaling knob).
   double sim_flits_per_cycle_per_gbps = 0.05;
-  /// Rank by simulated delay (--sim-rank): after the finalist tier scores
-  /// the top-K feasible cells of each objective group, each group is
-  /// re-ranked by contention-aware simulated delay and the sim winners are
-  /// reported alongside the analytical ones (two-phase rank: analytical
-  /// prefilter, simulated re-rank). Purely additive — analytical results
-  /// and winners are untouched. Requires sim_finalists >= 1.
-  bool sim_rank = false;
   /// PRNG seed of the finalist-tier simulator, decoupled from the mapping
   /// search's seed so the two streams can be varied independently
   /// (--sim-seed). 1 — the default — reproduces the historical behavior

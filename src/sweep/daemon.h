@@ -11,14 +11,11 @@ namespace sunmap::sweep {
 /// see select::ExplorerContextPool and EvalContext::rebind).
 ///
 /// Request protocol: newline-separated `key=value` lines terminated by a
-/// blank line (or EOF). Keys:
-///
-///   app=<vopd|mpeg4|dsp|netproc16|pip|mwd>      (required)
-///   objectives=delay,area,power,weighted
-///   routings=DO,MP,SM,SA
-///   bandwidths=<MBps,...>    areas=<mm2,...>
-///   searches=greedy,sa,rsa   restarts=<n,...>   swap_passes=<n,...>
-///   extensions=0|1           threads=<n>
+/// blank line (or EOF). The keys are those of the request field table in
+/// io/request_text.h, one per CLI evaluation flag, and a request is read
+/// exactly as io::build_request reads the sweep flags; `app` is required.
+/// An unknown or repeated key, or a value its field cannot take, is
+/// answered with ERR.
 ///
 /// Response: `OK <byte count>\n` followed by exactly that many bytes of
 /// io::exploration_report_json, or `ERR <message>\n`.
