@@ -1,44 +1,34 @@
-// Cross-PR routing perf probe: transactional incremental routing
+// Routing perf probe: transactional incremental split-all routing
 // (route::RoutingSession) vs the from-scratch canonical routing loop.
 //
-// Two probes, both SA-shaped (speculative solve then commit|rollback, the
-// accept/reject traffic a simulated-annealing chain generates):
-//  * session probe — the routing machinery isolated: one persistent
-//    RoutingSession against an inline from-scratch rip-up-and-re-route loop,
-//    per-candidate two-slot swaps on vopd/mpeg4/synth48 under minimum-path
-//    and split-all routing. Every speculative solve is checked bit-for-bit
-//    (loads and every route) against a fresh full solve.
-//  * evaluation probe — the same walk through the full DeltaTxn evaluation
-//    stack with config.incremental_routing on vs off (informational: the
-//    evaluation also pays floorplanning and metrics, which are identical on
-//    both sides). Timing rounds run on freshly built contexts so the metric
-//    caches cannot turn the timed walk into a cache-hit replay.
+// The probe is SA-shaped (speculative solve then commit|rollback, the
+// accept/reject traffic a simulated-annealing chain generates): one
+// persistent RoutingSession against an inline from-scratch
+// rip-up-and-re-route loop, per-candidate two-slot swaps on
+// vopd/mpeg4/synth48 under split-all routing. Every speculative solve is
+// checked bit-for-bit (loads and every route) against the from-scratch
+// loop. Minimum-path routing has no session (it re-routes from scratch in
+// production), so it has no leg here.
 //
 // Each app runs on two meshes:
-//  * its minimal mesh (every/nearly every slot occupied) — the regime where
-//    load-dependent kinds cascade: a swap shifts link loads, the loads break
-//    hop-count ties, and most min-paths flip, so provable reuse is capped
-//    near the canonical prefix. These legs gate bit-identity and report
-//    speedup informationally (the session is designed to cost little more
-//    than the plain loop here, not to win).
+//  * its minimal mesh (every/nearly every slot occupied) — most swaps move
+//    loaded endpoints, so reuse is capped at the canonical prefix before
+//    the first changed route. These legs gate bit-identity and report
+//    speedup informationally.
 //  * an exploration mesh (>= 4x the cores, the shape SUNMAP's topology
 //    selection sweeps mid-search) — most uniform slot swaps move only empty
 //    slots, the session's zero-dirty snapshot returns in O(edges), and the
-//    speedup is structural. The >=2x acceptance bar is gated on the
-//    exploration legs whose from-scratch routing work is macroscopic; the
-//    microsecond-scale minimum-path legs on 49-slot meshes are dominated by
-//    fixed per-solve costs on both sides and are reported informationally.
+//    speedup is structural. The >=2x acceptance bar is gated on these legs.
 //
 // `--json[=path]` dumps BENCH_routing.json. Gated invariants:
-// routing_bit_identical (every leg, both kinds, both probes) and
-// routing_incremental_2x (time-weighted aggregate session speedup over the
-// gated exploration legs >= 2x for minimum-path AND for split-all).
+// routing_bit_identical (every leg) and routing_incremental_2x
+// (time-weighted aggregate session speedup over the gated exploration legs
+// >= 2x).
 
 #include "apps/apps.h"
 #include "bench/bench_util.h"
 #include "mapping/core_graph.h"
 #include "mapping/delta_txn.h"
-#include "mapping/eval_context.h"
 #include "mapping/mapper.h"
 #include "route/routing.h"
 #include "route/routing_session.h"
@@ -85,46 +75,20 @@ struct Leg {
   std::string key;
   const mapping::CoreGraph* app = nullptr;
   const topo::Topology* topology = nullptr;
-  route::RoutingKind kind = route::RoutingKind::kMinPath;
   int steps = 0;
   bool gated_2x = false;  ///< leg participates in the 2x aggregate
 };
 
-std::vector<Leg> make_session_legs(const Workloads& w) {
-  using K = route::RoutingKind;
+std::vector<Leg> make_legs(const Workloads& w) {
   return {
       // Minimal meshes: bit-identity + bounded overhead, informational.
-      {"vopd_mesh16_mp", &w.vopd, w.mesh16.get(), K::kMinPath, 200, false},
-      {"vopd_mesh16_sa", &w.vopd, w.mesh16.get(), K::kSplitAll, 60, false},
-      {"mpeg4_mesh16_mp", &w.mpeg4, w.mesh16.get(), K::kMinPath, 200, false},
-      {"mpeg4_mesh16_sa", &w.mpeg4, w.mesh16.get(), K::kSplitAll, 60, false},
-      {"synth48_mesh64_mp", &w.synth48, w.mesh64.get(), K::kMinPath, 200,
-       false},
-      {"synth48_mesh64_sa", &w.synth48, w.mesh64.get(), K::kSplitAll, 60,
-       false},
-      // Exploration meshes: the gated >=2x regime (microsecond-scale MP legs
-      // on the 49-slot meshes stay informational).
-      {"vopd_mesh49_mp", &w.vopd, w.mesh49.get(), K::kMinPath, 200, false},
-      {"vopd_mesh49_sa", &w.vopd, w.mesh49.get(), K::kSplitAll, 100, true},
-      {"mpeg4_mesh49_mp", &w.mpeg4, w.mesh49.get(), K::kMinPath, 200, false},
-      {"mpeg4_mesh49_sa", &w.mpeg4, w.mesh49.get(), K::kSplitAll, 100, true},
-      {"synth48_mesh225_mp", &w.synth48, w.mesh225.get(), K::kMinPath, 200,
-       true},
-      {"synth48_mesh225_sa", &w.synth48, w.mesh225.get(), K::kSplitAll, 60,
-       true},
-  };
-}
-
-std::vector<Leg> make_eval_legs(const Workloads& w) {
-  using K = route::RoutingKind;
-  return {
-      {"vopd_mesh16_mp", &w.vopd, w.mesh16.get(), K::kMinPath, 120, false},
-      {"vopd_mesh16_sa", &w.vopd, w.mesh16.get(), K::kSplitAll, 40, false},
-      {"vopd_mesh49_sa", &w.vopd, w.mesh49.get(), K::kSplitAll, 60, false},
-      {"synth48_mesh64_mp", &w.synth48, w.mesh64.get(), K::kMinPath, 120,
-       false},
-      {"synth48_mesh225_mp", &w.synth48, w.mesh225.get(), K::kMinPath, 120,
-       false},
+      {"vopd_mesh16_sa", &w.vopd, w.mesh16.get(), 60, false},
+      {"mpeg4_mesh16_sa", &w.mpeg4, w.mesh16.get(), 60, false},
+      {"synth48_mesh64_sa", &w.synth48, w.mesh64.get(), 60, false},
+      // Exploration meshes: the gated >=2x regime.
+      {"vopd_mesh49_sa", &w.vopd, w.mesh49.get(), 100, true},
+      {"mpeg4_mesh49_sa", &w.mpeg4, w.mesh49.get(), 100, true},
+      {"synth48_mesh225_sa", &w.synth48, w.mesh225.get(), 60, true},
   };
 }
 
@@ -188,12 +152,7 @@ void reference_route_all(const route::RoutingEngine& engine,
 
 ProbeRow run_session_probe(const Leg& leg) {
   const topo::Topology& topology = *leg.topology;
-  route::RoutingEngine::Options options;
-  route::QuadrantTable quadrants(topology);
-  if (leg.kind == route::RoutingKind::kMinPath) {
-    options.quadrant_table = &quadrants;
-  }
-  const route::RoutingEngine engine(topology, leg.kind, options);
+  const route::RoutingEngine engine(topology, route::RoutingKind::kSplitAll);
   const auto commodities = mapping::commodities_by_value(*leg.app);
   std::vector<double> demands;
   for (const auto& c : commodities) demands.push_back(c.value_mbps);
@@ -236,8 +195,9 @@ ProbeRow run_session_probe(const Leg& leg) {
   row.key = leg.key;
   row.gated_2x = leg.gated_2x;
 
-  // Correctness pass (untimed): every speculative solve must match a fresh
-  // full solve of the same assignment — loads and every route, bitwise.
+  // Correctness pass (untimed): every speculative solve must match the
+  // from-scratch loop on the same assignment — loads and every route,
+  // bitwise.
   {
     auto core_to_slot = initial_mapping();
     auto slot_to_core = inverse_of(core_to_slot);
@@ -255,10 +215,10 @@ ProbeRow run_session_probe(const Leg& leg) {
       const auto ends = endpoints_of(core_to_slot);
       session.solve(engine, ends, loads, /*speculative=*/true);
 
-      route::RoutingSession fresh;
-      fresh.reset(demands, reroute_passes);
       route::LoadMap expected(num_edges);
-      fresh.solve(engine, ends, expected, /*speculative=*/false);
+      std::vector<route::RouteSet> expected_routes;
+      reference_route_all(engine, commodities, ends, expected,
+                          expected_routes, reroute_passes);
       for (int e = 0; e < num_edges; ++e) {
         if (loads.values()[static_cast<std::size_t>(e)] !=
             expected.values()[static_cast<std::size_t>(e)]) {
@@ -266,7 +226,8 @@ ProbeRow run_session_probe(const Leg& leg) {
         }
       }
       for (int k = 0; k < session.num_commodities(); ++k) {
-        if (!route::same_routes(session.route(k), fresh.route(k))) {
+        if (!route::same_routes(session.route(k),
+                                expected_routes[static_cast<std::size_t>(k)])) {
           row.bit_identical = false;
         }
       }
@@ -353,119 +314,11 @@ ProbeRow run_session_probe(const Leg& leg) {
   return row;
 }
 
-// ---- Evaluation probe: the full DeltaTxn stack, routing session on/off. --
-
-ProbeRow run_eval_probe(const Leg& leg) {
-  const topo::Topology& topology = *leg.topology;
-  mapping::MapperConfig config;
-  config.routing = leg.kind;
-  const mapping::Mapper mapper(config);
-  auto reference_config = config;
-  reference_config.incremental_routing = false;
-
-  const int num_slots = topology.num_slots();
-  const auto initial_mapping = [&] {
-    std::vector<int> core_to_slot(
-        static_cast<std::size_t>(leg.app->num_cores()));
-    for (int c = 0; c < leg.app->num_cores(); ++c) {
-      core_to_slot[static_cast<std::size_t>(c)] = c;
-    }
-    return core_to_slot;
-  };
-  const auto inverse_of = [&](const std::vector<int>& core_to_slot) {
-    std::vector<int> slot_to_core(static_cast<std::size_t>(num_slots), -1);
-    for (std::size_t c = 0; c < core_to_slot.size(); ++c) {
-      slot_to_core[static_cast<std::size_t>(core_to_slot[c])] =
-          static_cast<int>(c);
-    }
-    return slot_to_core;
-  };
-
-  // One walk over one context; returns the cost stream's sum so the two
-  // sides can be compared (and the work cannot be optimized away).
-  const auto drive = [&](const mapping::EvalContext& context,
-                         const mapping::EvalContext* reference,
-                         ProbeRow* check_row) {
-    auto mapping = initial_mapping();
-    auto inverse = inverse_of(mapping);
-    mapping::EvalScratch scratch;
-    mapping::DeltaTxn txn(context, scratch, mapping, inverse);
-    SwapSequence sequence(num_slots);
-    util::Prng accept_prng(99);
-    double cost_sum = 0.0;
-    for (int step = 0; step < leg.steps; ++step) {
-      const auto [a, b] = sequence.next();
-      txn.begin_swap(a, b);
-      const auto eval = txn.evaluate(/*materialize=*/false);
-      cost_sum += eval.cost;
-      if (reference != nullptr && check_row->bit_identical) {
-        mapping::EvalScratch fresh;
-        const auto expected =
-            reference->evaluate(mapping, fresh, /*materialize=*/false);
-        if (eval.cost != expected.cost ||
-            eval.max_link_load_mbps != expected.max_link_load_mbps ||
-            eval.design_power_mw != expected.design_power_mw ||
-            eval.avg_switch_hops != expected.avg_switch_hops) {
-          check_row->bit_identical = false;
-        }
-      }
-      if (accept_prng.chance(0.5)) {
-        txn.commit();
-      } else {
-        txn.rollback();
-      }
-    }
-    return cost_sum;
-  };
-
-  ProbeRow row;
-  row.key = leg.key;
-  row.bit_identical = true;
-  {
-    const mapping::EvalContext ctx(*leg.app, topology, config,
-                                   mapper.library());
-    const mapping::EvalContext reference(*leg.app, topology, reference_config,
-                                        mapper.library());
-    (void)drive(ctx, &reference, &row);
-  }
-
-  // Timing rounds on freshly built contexts: a context reused across rounds
-  // would answer the identical candidate stream from its metric cache and
-  // time nothing but hash lookups.
-  row.from_scratch_ms = std::numeric_limits<double>::infinity();
-  row.incremental_ms = std::numeric_limits<double>::infinity();
-  for (int round = 0; round < kTimingRounds; ++round) {
-    {
-      const mapping::EvalContext fresh_reference(
-          *leg.app, topology, reference_config, mapper.library());
-      const auto t0 = std::chrono::steady_clock::now();
-      const double blackhole = drive(fresh_reference, nullptr, nullptr);
-      const auto t1 = std::chrono::steady_clock::now();
-      benchmark::DoNotOptimize(blackhole);
-      row.from_scratch_ms = std::min(
-          row.from_scratch_ms,
-          std::chrono::duration<double, std::milli>(t1 - t0).count());
-    }
-    {
-      const mapping::EvalContext fresh_incremental(*leg.app, topology, config,
-                                                   mapper.library());
-      const auto t0 = std::chrono::steady_clock::now();
-      const double blackhole = drive(fresh_incremental, nullptr, nullptr);
-      const auto t1 = std::chrono::steady_clock::now();
-      benchmark::DoNotOptimize(blackhole);
-      row.incremental_ms = std::min(
-          row.incremental_ms,
-          std::chrono::duration<double, std::milli>(t1 - t0).count());
-    }
-  }
-  return row;
-}
-
 // ---- Micro-benchmarks. ---------------------------------------------------
 
 void BM_RoutingSessionSpeculativeSwap(benchmark::State& state) {
   const auto mesh = topo::make_mesh_for(16);
-  const route::RoutingEngine engine(*mesh, route::RoutingKind::kMinPath);
+  const route::RoutingEngine engine(*mesh, route::RoutingKind::kSplitAll);
   const auto app = apps::vopd();
   const auto commodities = mapping::commodities_by_value(app);
   std::vector<double> demands;
@@ -535,19 +388,13 @@ int main(int argc, char** argv) {
   util::Table table({"leg", "from-scratch ms", "session ms", "speedup",
                      "reuse", "snap", "gated", "bit-identical"});
   bool all_identical = true;
-  double mp_scratch = 0.0, mp_incremental = 0.0;
-  double sa_scratch = 0.0, sa_incremental = 0.0;
-  for (const auto& leg : make_session_legs(workloads)) {
+  double gated_scratch = 0.0, gated_incremental = 0.0;
+  for (const auto& leg : make_legs(workloads)) {
     auto row = run_session_probe(leg);
     all_identical = all_identical && row.bit_identical;
     if (leg.gated_2x) {
-      if (leg.kind == route::RoutingKind::kMinPath) {
-        mp_scratch += row.from_scratch_ms;
-        mp_incremental += row.incremental_ms;
-      } else {
-        sa_scratch += row.from_scratch_ms;
-        sa_incremental += row.incremental_ms;
-      }
+      gated_scratch += row.from_scratch_ms;
+      gated_incremental += row.incremental_ms;
     }
     table.add_row({row.key, util::Table::num(row.from_scratch_ms, 1),
                    util::Table::num(row.incremental_ms, 1),
@@ -558,32 +405,12 @@ int main(int argc, char** argv) {
                    row.bit_identical ? "yes" : "NO"});
     session_rows.push_back(std::move(row));
   }
-  const double mp_speedup =
-      mp_incremental > 0.0 ? mp_scratch / mp_incremental : 0.0;
   const double sa_speedup =
-      sa_incremental > 0.0 ? sa_scratch / sa_incremental : 0.0;
-  std::printf("%sgated exploration aggregate: %.2fx minimum-path, %.2fx "
-              "split-all (bar: 2x each)\n",
-              table.to_string().c_str(), mp_speedup, sa_speedup);
+      gated_incremental > 0.0 ? gated_scratch / gated_incremental : 0.0;
+  std::printf("%sgated exploration aggregate: %.2fx split-all (bar: 2x)\n",
+              table.to_string().c_str(), sa_speedup);
 
-  bench::print_heading(
-      "Evaluation probe: DeltaTxn walk with incremental routing on vs off "
-      "(informational timing; identity gated)");
-  std::vector<ProbeRow> eval_rows;
-  util::Table eval_table({"leg", "reference ms", "incremental ms", "speedup",
-                          "bit-identical"});
-  for (const auto& leg : make_eval_legs(workloads)) {
-    auto row = run_eval_probe(leg);
-    all_identical = all_identical && row.bit_identical;
-    eval_table.add_row({row.key, util::Table::num(row.from_scratch_ms, 1),
-                        util::Table::num(row.incremental_ms, 1),
-                        util::Table::num(row.speedup(), 2) + "x",
-                        row.bit_identical ? "yes" : "NO"});
-    eval_rows.push_back(std::move(row));
-  }
-  std::printf("%s", eval_table.to_string().c_str());
-
-  const bool routing_2x = mp_speedup >= 2.0 && sa_speedup >= 2.0;
+  const bool routing_2x = sa_speedup >= 2.0;
   int status = 0;
   if (!all_identical) {
     std::fprintf(stderr,
@@ -593,9 +420,9 @@ int main(int argc, char** argv) {
   }
   if (!routing_2x) {
     std::fprintf(stderr,
-                 "FAIL: gated session speedup %.2fx minimum-path / %.2fx "
-                 "split-all below the 2x acceptance bar\n",
-                 mp_speedup, sa_speedup);
+                 "FAIL: gated split-all session speedup %.2fx below the 2x "
+                 "acceptance bar\n",
+                 sa_speedup);
     status = 1;
   }
 
@@ -616,42 +443,29 @@ int main(int argc, char** argv) {
                  "  \"wall_ms\": %.3f,\n"
                  "  \"routing_bit_identical\": %s,\n"
                  "  \"routing_incremental_2x\": %s,\n"
-                 "  \"session_speedup_minpath\": %.3f,\n"
-                 "  \"session_speedup_splitall\": %.3f,\n",
+                 "  \"session_speedup_splitall\": %.3f,\n"
+                 "  \"session_probe\": [\n",
                  total_ms, all_identical ? "true" : "false",
-                 routing_2x ? "true" : "false", mp_speedup, sa_speedup);
-    const auto emit_rows = [&](const char* name,
-                               const std::vector<ProbeRow>& rows,
-                               const char* tail) {
-      std::fprintf(out, "  \"%s\": [\n", name);
-      for (std::size_t i = 0; i < rows.size(); ++i) {
-        const auto& row = rows[i];
-        std::fprintf(out,
-                     "    {\"run\": \"%s\", \"from_scratch_ms\": %.3f, "
-                     "\"incremental_ms\": %.3f, \"speedup\": %.3f, "
-                     "\"gated_2x\": %s, \"bit_identical\": %s}%s\n",
-                     row.key.c_str(), row.from_scratch_ms,
-                     row.incremental_ms, row.speedup(),
-                     row.gated_2x ? "true" : "false",
-                     row.bit_identical ? "true" : "false",
-                     i + 1 < rows.size() ? "," : "");
-      }
-      std::fprintf(out, "  ]%s\n", tail);
-    };
-    emit_rows("session_probe", session_rows, ",");
-    emit_rows("eval_probe", eval_rows, ",");
-    // Only the incremental legs are tracked sub-benchmarks: the from-scratch
-    // legs are the deliberately slow reference path.
-    std::fprintf(out, "  \"sub_benchmarks\": {\n");
-    const std::size_t total_subs = session_rows.size() + eval_rows.size();
-    std::size_t emitted = 0;
-    for (const auto& row : session_rows) {
-      std::fprintf(out, "    \"%s_session\": %.3f%s\n", row.key.c_str(),
-                   row.incremental_ms, ++emitted < total_subs ? "," : "");
+                 routing_2x ? "true" : "false", sa_speedup);
+    for (std::size_t i = 0; i < session_rows.size(); ++i) {
+      const auto& row = session_rows[i];
+      std::fprintf(out,
+                   "    {\"run\": \"%s\", \"from_scratch_ms\": %.3f, "
+                   "\"incremental_ms\": %.3f, \"speedup\": %.3f, "
+                   "\"gated_2x\": %s, \"bit_identical\": %s}%s\n",
+                   row.key.c_str(), row.from_scratch_ms, row.incremental_ms,
+                   row.speedup(), row.gated_2x ? "true" : "false",
+                   row.bit_identical ? "true" : "false",
+                   i + 1 < session_rows.size() ? "," : "");
     }
-    for (const auto& row : eval_rows) {
-      std::fprintf(out, "    \"%s_eval\": %.3f%s\n", row.key.c_str(),
-                   row.incremental_ms, ++emitted < total_subs ? "," : "");
+    // Only the session legs are tracked sub-benchmarks: the from-scratch
+    // legs are the deliberately slow reference path.
+    std::fprintf(out, "  ],\n  \"sub_benchmarks\": {\n");
+    for (std::size_t i = 0; i < session_rows.size(); ++i) {
+      std::fprintf(out, "    \"%s_session\": %.3f%s\n",
+                   session_rows[i].key.c_str(),
+                   session_rows[i].incremental_ms,
+                   i + 1 < session_rows.size() ? "," : "");
     }
     std::fprintf(out, "  }\n}\n");
     std::fclose(out);

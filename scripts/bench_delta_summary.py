@@ -29,7 +29,7 @@ INVARIANT_KEYS = GATED_INVARIANT_KEYS + (
     "annealing_txn_speedup_rigid", "annealing_txn_speedup_sized",
     "aggregate_speedup", "min_prune_fraction", "min_area_prune_fraction",
     "min_power_prune_fraction", "fault_incremental_speedup",
-    "session_speedup_minpath", "session_speedup_splitall",
+    "session_speedup_splitall",
     "event_speedup_light_load", "hot_path_speedup", "finalist_speedup_2t")
 
 

@@ -39,10 +39,10 @@ import sys
 # distributed-sweep probe adds two more: a merged multi-process report and
 # a checkpoint-resumed report must both stay bit-identical to the
 # single-process explorer. The routing probe adds the transactional
-# incremental-routing pair: every speculative RoutingSession solve is
-# bit-identical to the from-scratch canonical loop, and the gated
-# exploration legs keep the >= 2x session speedup under both minimum-path
-# and split-all routing. The simulation probe adds the engine pair: the
+# incremental-routing pair: every speculative split-all RoutingSession
+# solve is bit-identical to the from-scratch canonical loop, and the gated
+# exploration legs keep the >= 2x session speedup (minimum-path routing has
+# no session; it routes from scratch). The simulation probe adds the engine pair: the
 # event-driven engine is bit-identical to the cycle-stepped reference on
 # every leg (the full SimStats record, verdict paths included), and the
 # light-load legs keep the >= 3x aggregate event speedup. The simulator

@@ -21,9 +21,10 @@ using SlotMove = std::pair<int, int>;
 ///  * the scratch's incremental fplan::FloorplanSession (cache misses under
 ///    an open speculation solve through push_shapes, journaling what they
 ///    displace) together with the scratch's session shape key,
-///  * the scratch's incremental route::RoutingSession (adaptive-routing
+///  * the scratch's incremental route::RoutingSession (split-all
 ///    evaluations under an open speculation solve speculatively, journaling
-///    displaced routes in session frames that rollback pops), and
+///    displaced routes in session frames that rollback pops; minimum-path
+///    re-routes from scratch and has nothing to undo), and
 ///  * the EvalContext memo caches, which being pure memoisation need no
 ///    undo: a speculative result cached during a rolled-back transaction is
 ///    still the exact value any later evaluation of that mapping computes.

@@ -165,8 +165,6 @@ void EvalContext::bind(const MapperConfig& config,
 
   static_routing_ = config_.routing == route::RoutingKind::kDimensionOrdered ||
                     config_.routing == route::RoutingKind::kSplitMin;
-  adaptive_routing_ = config_.routing == route::RoutingKind::kMinPath ||
-                      config_.routing == route::RoutingKind::kSplitAll;
 
   if (faults_changed) build_fault_tables();
 
@@ -349,10 +347,10 @@ Evaluation EvalContext::evaluate(const std::vector<int>& core_to_slot,
       scratch.loads.add_route(routes, commodity.value_mbps);
       scratch.route_refs[k] = &routes;
     }
-  } else if (config_.incremental_routing) {
-    // Session path: replay the canonical routing trace against the previous
-    // solve's routes, re-running only the Dijkstras whose inputs could have
-    // changed (bit-identical to the inline loop below — see
+  } else if (config_.routing == route::RoutingKind::kSplitAll) {
+    // Split-all solves through the scratch's routing session: it replays
+    // the canonical trace against the previous solve's routes and reuses
+    // the clean prefix, bit-identical to the from-scratch loop below (see
     // route::RoutingSession). Under an open DeltaTxn the solve is
     // speculative: displaced routes are journaled in a session frame that
     // rollback pops verbatim.
@@ -372,9 +370,10 @@ Evaluation EvalContext::evaluate(const std::vector<int>& core_to_slot,
       scratch.route_refs[k] = &session.route(static_cast<int>(k));
     }
   } else {
-    // Reference path: the from-scratch canonical loop the session must
-    // reproduce bit-for-bit (kept selectable so the routing bench invariant
-    // and the session equivalence tests can measure one against the other).
+    // Minimum-path: the from-scratch canonical loop (decreasing-value pass,
+    // then rip-up rounds). MP's Dijkstras over the quadrant graph are cheap
+    // enough that replay bookkeeping costs more than it saves, so no
+    // session is kept.
     scratch.routes.resize(num_commodities);
     for (std::size_t k = 0; k < num_commodities; ++k) {
       const auto& commodity = commodities_[k];
@@ -387,19 +386,17 @@ Evaluation EvalContext::evaluate(const std::vector<int>& core_to_slot,
       scratch.loads.add_route(scratch.routes[k], commodity.value_mbps);
       scratch.route_refs[k] = &scratch.routes[k];
     }
-    if (adaptive_routing_) {
-      for (int pass = 0; pass < config_.reroute_passes; ++pass) {
-        for (std::size_t k = 0; k < num_commodities; ++k) {
-          const auto& commodity = commodities_[k];
-          const int src_slot =
-              core_to_slot[static_cast<std::size_t>(commodity.src_core)];
-          const int dst_slot =
-              core_to_slot[static_cast<std::size_t>(commodity.dst_core)];
-          scratch.loads.remove_route(scratch.routes[k], commodity.value_mbps);
-          engine_->route(src_slot, dst_slot, commodity.value_mbps,
-                         scratch.loads, scratch.routes[k]);
-          scratch.loads.add_route(scratch.routes[k], commodity.value_mbps);
-        }
+    for (int pass = 0; pass < config_.reroute_passes; ++pass) {
+      for (std::size_t k = 0; k < num_commodities; ++k) {
+        const auto& commodity = commodities_[k];
+        const int src_slot =
+            core_to_slot[static_cast<std::size_t>(commodity.src_core)];
+        const int dst_slot =
+            core_to_slot[static_cast<std::size_t>(commodity.dst_core)];
+        scratch.loads.remove_route(scratch.routes[k], commodity.value_mbps);
+        engine_->route(src_slot, dst_slot, commodity.value_mbps,
+                       scratch.loads, scratch.routes[k]);
+        scratch.loads.add_route(scratch.routes[k], commodity.value_mbps);
       }
     }
   }

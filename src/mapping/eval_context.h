@@ -25,9 +25,9 @@ namespace sunmap::mapping {
 struct EvalScratch {
   std::vector<int> slot_to_core;
   route::LoadMap loads{0};
-  /// Per-commodity routes computed by the adaptive routing functions; the
+  /// Per-commodity routes computed by minimum-path routing; the
   /// deterministic functions point into the context's static route cache
-  /// instead.
+  /// and split-all into its routing session instead.
   std::vector<route::RouteSet> routes;
   /// Per-commodity route reference, aligned with EvalContext::commodities().
   std::vector<const route::RouteSet*> route_refs;
@@ -77,8 +77,9 @@ struct EvalScratch {
   /// cap) — floorplan_for_mapping returns references, never copies.
   fplan::Floorplan fplan_result;
 
-  /// This thread's incremental routing session (MP / split-all only; the
-  /// static kinds keep reading the context's route tables). Owned by the
+  /// This thread's incremental routing session (split-all only: the static
+  /// kinds read the context's route tables and minimum-path re-routes from
+  /// scratch into `routes`, so neither ever builds one). Owned by the
   /// scratch for the same reason as fplan_session: concurrent workers must
   /// never share solver state. The context rebuilds it when the scratch
   /// meets a different context or a rebind() changed the evaluation class
@@ -407,7 +408,6 @@ class EvalContext {
   std::optional<route::RoutingEngine> engine_;
   const std::vector<route::RouteSet>* static_routes_ = nullptr;
   bool static_routing_ = false;
-  bool adaptive_routing_ = false;
 
   /// Fault state, rebuilt by bind() when the configuration's FaultSet moved:
   /// the scenarios materialized against this topology, their aliveness

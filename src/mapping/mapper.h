@@ -142,18 +142,6 @@ struct MapperConfig {
   /// extract paths through the same code, so results are bit-identical.
   bool incremental_fault_eval = true;
 
-  /// Master switch for incremental adaptive routing (MP / split-all): with
-  /// it on (the default), evaluations solve through the scratch's
-  /// persistent route::RoutingSession, which replays the canonical routing
-  /// trace and re-runs only the Dijkstras whose inputs could have changed —
-  /// and journals displaced routes in push/pop frames under the search's
-  /// DeltaTxn protocol. Off makes every evaluation pay the from-scratch
-  /// loop. Results are bit-identical either way (the session contract); the
-  /// off position is the reference the routing_bit_identical and
-  /// routing_incremental_2x bench invariants measure against. The static
-  /// kinds (DO / SM) read precomputed route tables and ignore this switch.
-  bool incremental_routing = true;
-
   /// Sub-flows for split-across-all-paths routing.
   int split_chunks = 16;
 

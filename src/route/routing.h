@@ -49,7 +49,7 @@ struct RouteSet {
 
 /// True when the two route sets take exactly the same paths with exactly the
 /// same fractions (bit-wise double comparison; used by the routing session to
-/// detect whether a re-route actually displaced anything).
+/// detect whether a re-route left the cached trace).
 [[nodiscard]] bool same_routes(const RouteSet& a, const RouteSet& b);
 
 /// Per-link traffic accumulator, indexed by switch-graph EdgeId, in the same
@@ -91,9 +91,10 @@ class LoadMap {
   /// before the matching add_route, the round trip restores exact zero
   /// (0 + v = v and v - v = 0 are both exact); over a nonzero background
   /// load the cancellation can drift by an ulp per cycle, which is why
-  /// consumers that need bit-identical loads (the routing session, the
-  /// reference re-route loop) always rebuild from a cleared map by replaying
-  /// the same add/remove sequence rather than round-tripping in place.
+  /// consumers that need bit-identical loads (the split-all routing
+  /// session, the from-scratch re-route loop) always rebuild from a cleared
+  /// map by replaying the same add/remove sequence rather than
+  /// round-tripping in place.
   void remove_route(const RouteSet& routes, double demand);
 
   [[nodiscard]] double load(graph::EdgeId e) const {
@@ -175,10 +176,9 @@ class RoutingEngine {
   [[nodiscard]] const topo::Topology& topology() const { return topology_; }
   [[nodiscard]] int split_chunks() const { return options_.split_chunks; }
 
-  /// The switch admission mask minimum-path routing would use for this slot
-  /// pair (the attached table or the topology's memoized cache) — exposed so
-  /// the routing session can reason about which link-load changes are
-  /// visible to a commodity's Dijkstra.
+  /// The switch admission mask minimum-path routing uses for this slot pair
+  /// (the attached table or the topology's memoized cache) — exposed so
+  /// tests can rebuild the exact subgraph a commodity's Dijkstra searches.
   [[nodiscard]] const char* min_path_admission(topo::SlotId src,
                                                topo::SlotId dst) const {
     return options_.quadrant_table != nullptr

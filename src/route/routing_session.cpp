@@ -1,8 +1,8 @@
 #include "route/routing_session.h"
 
-#include <algorithm>
-#include <bit>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 namespace sunmap::route {
 
@@ -14,159 +14,22 @@ void RoutingSession::reset(std::vector<double> demands, int reroute_passes) {
   key_.assign(n, CommodityEndpoints{});
   pass_routes_.assign(static_cast<std::size_t>(passes_ + 1) * n, RouteSet{});
   dirty_.assign(n, 0);
-  cached_loads_ = LoadMap(0);
-  unequal_.clear();
-  unequal_edges_.clear();
-  unequal_count_ = 0;
-  cached_ptr_.clear();
-  unequal_tiles_ = 0;
-  all_tiles_ = 0;
-  edge_tile_.clear();
-  saturated_ = false;
-  quad_tiles_.clear();
-  quad_tiles_ready_.clear();
-  quad_slots_ = 0;
   final_loads_ = LoadMap(0);
   final_snapshot_ = false;
-  replay_stash_.clear();
-  stash_used_ = 0;
   for (auto& frame : frames_) frame.reset();
   frame_depth_ = 0;
-}
-
-namespace {
-
-/// 64-bucket hash of a switch id; locality-preserving for row-major meshes.
-inline std::uint64_t tile_bit(graph::NodeId node, int num_switches) {
-  const int tile = static_cast<int>(
-      static_cast<std::int64_t>(node) * 64 / num_switches);
-  return std::uint64_t{1} << tile;
-}
-
-}  // namespace
-
-void RoutingSession::refresh_equality(const LoadMap& live,
-                                      const RouteSet& routes) {
-  const std::vector<double>& a = live.values();
-  const std::vector<double>& b = cached_loads_.values();
-  for (const auto& wp : routes.paths) {
-    for (graph::EdgeId e : wp.path.edges) {
-      const std::size_t i = static_cast<std::size_t>(e);
-      // Numeric (not bitwise) comparison: +0.0 and -0.0 can legitimately
-      // differ between the two replays, and no downstream comparison or
-      // accumulation distinguishes them.
-      const bool equal = a[i] == b[i];
-      char& flag = unequal_[i];
-      if (!equal && flag == 0) {
-        flag = 1;
-        unequal_edges_.push_back(e);
-        unequal_tiles_ |= edge_tile_[i];
-        ++unequal_count_;
-      } else if (equal && flag != 0) {
-        flag = 0;
-        --unequal_count_;  // tiles stay set (conservative) until count hits 0
-      }
-    }
-  }
-}
-
-std::uint64_t RoutingSession::quadrant_tiles(const RoutingEngine& engine,
-                                             const CommodityEndpoints& key) {
-  const int slots = engine.topology().num_slots();
-  if (quad_slots_ != slots) {
-    quad_slots_ = slots;
-    const std::size_t pairs =
-        static_cast<std::size_t>(slots) * static_cast<std::size_t>(slots);
-    quad_tiles_.assign(pairs, 0);
-    quad_tiles_ready_.assign(pairs, 0);
-  }
-  const std::size_t idx = static_cast<std::size_t>(key.src) *
-                              static_cast<std::size_t>(slots) +
-                          static_cast<std::size_t>(key.dst);
-  if (quad_tiles_ready_[idx] == 0) {
-    const char* admitted = engine.min_path_admission(key.src, key.dst);
-    const int num_switches = engine.topology().switch_graph().num_nodes();
-    std::uint64_t mask = 0;
-    for (int node = 0; node < num_switches; ++node) {
-      if (admitted[static_cast<std::size_t>(node)] != 0) {
-        mask |= tile_bit(node, num_switches);
-      }
-    }
-    quad_tiles_[idx] = mask;
-    quad_tiles_ready_[idx] = 1;
-  }
-  return quad_tiles_[idx];
-}
-
-bool RoutingSession::divergence_visible(const RoutingEngine& engine,
-                                        const CommodityEndpoints& key) {
-  if (unequal_count_ == 0) {
-    // Everything healed (or never diverged): flags of listed edges are all
-    // zero already, so the tile accumulator can restart exact.
-    unequal_edges_.clear();
-    unequal_tiles_ = 0;
-    return false;
-  }
-  switch (engine.kind()) {
-    case RoutingKind::kMinPath: {
-      // A load difference is visible to MP's Dijkstra only if the link joins
-      // two switches admitted by the commodity's quadrant mask (§4.3). The
-      // O(1) conservative test: if the quadrant's tiles miss every tile
-      // holding a divergent edge's source switch, no divergent edge can have
-      // both endpoints admitted.
-      if ((quadrant_tiles(engine, key) & unequal_tiles_) == 0) return false;
-      // While the divergent set is small (the common case right after a
-      // swap, when most reuse decisions are made), confirm with the exact
-      // per-edge admission test; once it grows, trust the tile test.
-      constexpr std::size_t kExactScanLimit = 64;
-      if (unequal_edges_.size() > kExactScanLimit) return true;
-      const char* admitted = engine.min_path_admission(key.src, key.dst);
-      const auto& g = engine.topology().switch_graph();
-      bool visible = false;
-      std::size_t kept = 0;
-      for (graph::EdgeId e : unequal_edges_) {
-        if (unequal_[static_cast<std::size_t>(e)] == 0) continue;
-        unequal_edges_[kept++] = e;  // compact entries that healed to equal
-        const auto& edge = g.edge(e);
-        if (admitted[static_cast<std::size_t>(edge.src)] != 0 &&
-            admitted[static_cast<std::size_t>(edge.dst)] != 0) {
-          visible = true;
-        }
-      }
-      unequal_edges_.resize(kept);
-      return visible;
-    }
-    case RoutingKind::kSplitAll:
-      // Split-all admits every link, so any live divergence is visible.
-      return true;
-    default:
-      // Static kinds never route through a session; if one ever does, stay
-      // conservative and never reuse.
-      return true;
-  }
-}
-
-void RoutingSession::note_saturation(const RoutingEngine& engine) {
-  if (saturated_ || unequal_count_ == 0) return;
-  if (engine.kind() == RoutingKind::kMinPath) {
-    // Once divergence covers 7/8 of the edge-bearing tiles, only the rare
-    // quadrant squeezed into the remaining sliver could still prove
-    // invisibility — forfeit that residual reuse and stop paying for the
-    // shadow replay (the solve degrades to the plain from-scratch loop).
-    const int covered = std::popcount(unequal_tiles_ & all_tiles_);
-    const int total = std::popcount(all_tiles_);
-    if (covered * 8 >= total * 7) saturated_ = true;
-  } else {
-    // Split-all (and any conservative kind): one divergent edge already
-    // forces every remaining commodity to re-route.
-    saturated_ = true;
-  }
 }
 
 void RoutingSession::solve(const RoutingEngine& engine,
                            const std::vector<CommodityEndpoints>& endpoints,
                            LoadMap& loads, bool speculative) {
   const int n = num_commodities();
+  if (engine.kind() != RoutingKind::kSplitAll) {
+    throw std::invalid_argument(
+        std::string("RoutingSession: only split-all routing replays through "
+                    "a session, not ") +
+        to_string(engine.kind()));
+  }
   if (static_cast<int>(endpoints.size()) != n) {
     throw std::invalid_argument(
         "RoutingSession: endpoint count does not match the bound demands");
@@ -223,147 +86,53 @@ void RoutingSession::solve(const RoutingEngine& engine,
   } else {
     ++stats_.incremental_solves;
   }
+  Frame* frame = speculative ? open_frame() : nullptr;
+  const bool journal = frame != nullptr && frame->base_valid;
 
-  Frame* frame = nullptr;
-  if (speculative) {
-    frame = open_frame();
-  } else {
-    stash_used_ = 0;
-  }
-
-  loads.clear();
-  if (!full) {
-    // Both replays start from cleared maps (all edges equal); the shadow map
-    // then re-applies the cached trace's own add/remove sequence, which is
-    // deterministic and therefore reproduces the previous solve's loads
-    // bit-for-bit at every trace point.
-    const auto& g = engine.topology().switch_graph();
-    const int num_edges = g.num_edges();
-    if (cached_loads_.num_edges() != num_edges) {
-      cached_loads_ = LoadMap(num_edges);
-      unequal_.assign(static_cast<std::size_t>(num_edges), 0);
-      const int num_switches = g.num_nodes();
-      edge_tile_.resize(static_cast<std::size_t>(num_edges));
-      all_tiles_ = 0;
-      for (int e = 0; e < num_edges; ++e) {
-        edge_tile_[static_cast<std::size_t>(e)] =
-            tile_bit(g.edge(e).src, num_switches);
-        all_tiles_ |= edge_tile_[static_cast<std::size_t>(e)];
-      }
-    } else {
-      cached_loads_.clear();
-      for (graph::EdgeId e : unequal_edges_) {
-        unequal_[static_cast<std::size_t>(e)] = 0;
-      }
-    }
-    unequal_edges_.clear();
-    unequal_count_ = 0;
-    unequal_tiles_ = 0;
-    saturated_ = false;
-    cached_ptr_.assign(pass_routes_.size(), nullptr);
-  }
-
-  // Installs the freshly computed route sitting in tmp_route_, journaling
-  // the displaced one, and returns the cached-trace route for this
-  // (pass, commodity) slot: the displaced original, or the slot itself when
-  // the fresh route landed on exactly the cached one. Swap discipline keeps
-  // every RouteSet buffer pooled — nothing is freed on the hot path.
-  const auto install_route = [&](int pass, int k) -> const RouteSet* {
-    RouteSet& slot = pass_route(pass, k);
-    if (same_routes(tmp_route_, slot)) return &slot;
-    RouteSet* displaced = nullptr;
-    if (frame != nullptr) {
-      if (frame->base_valid) {
-        if (frame->routes_used == frame->routes.size()) {
-          frame->routes.emplace_back();
-        }
-        UndoEntry& entry = frame->routes[frame->routes_used++];
-        entry.pass = pass;
-        entry.commodity = k;
-        displaced = &entry.old_route;
-      }
-    } else if (!full) {
-      if (stash_used_ == replay_stash_.size()) replay_stash_.emplace_back();
-      displaced = &replay_stash_[stash_used_++];
-    }
-    if (displaced != nullptr) std::swap(*displaced, slot);
-    std::swap(slot, tmp_route_);  // tmp_route_ inherits a warmed buffer
-    return displaced;
-  };
-
-  const auto slot_index = [&](int pass, int k) {
-    return static_cast<std::size_t>(pass * n + k);
-  };
-
-  // Pass 0: route in canonical (decreasing-bandwidth) order. This replays
-  // the from-scratch loop exactly — a cached route is reused only when its
-  // commodity is clean and no admitted link's load differs from the cached
-  // trace, which makes the reused Dijkstra's inputs provably identical.
-  for (int k = 0; k < n; ++k) {
+  // One step of the canonical trace. While the trace has not diverged, a
+  // clean commodity's cached route is exactly what its Dijkstra would
+  // return, so it is reused. Otherwise the step re-routes; a route that
+  // differs from the cached one is installed (journaling the displaced
+  // route under a frame; swap discipline keeps every RouteSet buffer
+  // pooled) and marks the divergence.
+  bool diverged = full;
+  const auto step = [&](int pass, int k) {
     const auto& key = endpoints[static_cast<std::size_t>(k)];
     const double demand = demands_[static_cast<std::size_t>(k)];
-    if (!full && !saturated_ && dirty_[static_cast<std::size_t>(k)] == 0 &&
-        !divergence_visible(engine, key)) {
+    RouteSet& slot = pass_route(pass, k);
+    if (!diverged && dirty_[static_cast<std::size_t>(k)] == 0) {
       ++stats_.reused;
-      // Both sides add the same route: equal edge loads see identical
-      // arithmetic and stay equal, so no equality refresh is needed.
-      const RouteSet& kept = pass_route(0, k);
-      cached_ptr_[slot_index(0, k)] = &kept;
-      loads.add_route(kept, demand);
-      cached_loads_.add_route(kept, demand);
     } else {
       ++stats_.rerouted;
       engine.route(key.src, key.dst, demand, loads, tmp_route_);
-      const RouteSet* cached = install_route(0, k);
-      const RouteSet& live = pass_route(0, k);
-      loads.add_route(live, demand);
-      if (!full && !saturated_) {
-        cached_ptr_[slot_index(0, k)] = cached;
-        cached_loads_.add_route(*cached, demand);
-        if (cached != &live) refresh_equality(loads, *cached);
-        refresh_equality(loads, live);
-        note_saturation(engine);
+      if (!same_routes(tmp_route_, slot)) {
+        diverged = true;
+        if (journal) {
+          if (frame->routes_used == frame->routes.size()) {
+            frame->routes.emplace_back();
+          }
+          UndoEntry& entry = frame->routes[frame->routes_used++];
+          entry.pass = pass;
+          entry.commodity = k;
+          std::swap(entry.old_route, slot);
+        }
+        std::swap(slot, tmp_route_);  // tmp_route_ inherits a warmed buffer
       }
     }
-  }
+    loads.add_route(slot, demand);
+  };
 
-  // Rip-up rounds: remove the commodity's current route, re-route against
-  // everyone else's load, and add the (possibly unchanged) result back —
-  // same arithmetic, same order as the from-scratch loop, mirrored on the
-  // shadow map with the cached trace's own routes.
+  // Pass 0 routes in canonical (decreasing-bandwidth) order; each rip-up
+  // round removes a commodity's current route, re-routes it against
+  // everyone else's load and adds the result back — same arithmetic, same
+  // order as the from-scratch loop.
+  loads.clear();
+  for (int k = 0; k < n; ++k) step(0, k);
   for (int pass = 1; pass <= passes_; ++pass) {
     for (int k = 0; k < n; ++k) {
-      const auto& key = endpoints[static_cast<std::size_t>(k)];
-      const double demand = demands_[static_cast<std::size_t>(k)];
-      const RouteSet& current = pass_route(pass - 1, k);
-      loads.remove_route(current, demand);
-      if (!full && !saturated_) {
-        const RouteSet* cached_prev = cached_ptr_[slot_index(pass - 1, k)];
-        cached_loads_.remove_route(*cached_prev, demand);
-        refresh_equality(loads, current);
-        if (cached_prev != &current) refresh_equality(loads, *cached_prev);
-      }
-      if (!full && !saturated_ && dirty_[static_cast<std::size_t>(k)] == 0 &&
-          !divergence_visible(engine, key)) {
-        ++stats_.reused;
-        const RouteSet& kept = pass_route(pass, k);
-        cached_ptr_[slot_index(pass, k)] = &kept;
-        loads.add_route(kept, demand);
-        cached_loads_.add_route(kept, demand);
-      } else {
-        ++stats_.rerouted;
-        engine.route(key.src, key.dst, demand, loads, tmp_route_);
-        const RouteSet* cached = install_route(pass, k);
-        const RouteSet& live = pass_route(pass, k);
-        loads.add_route(live, demand);
-        if (!full && !saturated_) {
-          cached_ptr_[slot_index(pass, k)] = cached;
-          cached_loads_.add_route(*cached, demand);
-          if (cached != &live) refresh_equality(loads, *cached);
-          refresh_equality(loads, live);
-          note_saturation(engine);
-        }
-      }
+      loads.remove_route(pass_route(pass - 1, k),
+                         demands_[static_cast<std::size_t>(k)]);
+      step(pass, k);
     }
   }
 
@@ -371,12 +140,10 @@ void RoutingSession::solve(const RoutingEngine& engine,
     auto& key = key_[static_cast<std::size_t>(k)];
     const auto& fresh = endpoints[static_cast<std::size_t>(k)];
     if (key == fresh) continue;
-    if (frame != nullptr && frame->base_valid) {
-      frame->keys.push_back(KeyUndo{k, key});
-    }
+    if (journal) frame->keys.push_back(KeyUndo{k, key});
     key = fresh;
   }
-  if (frame != nullptr && frame->base_valid) {
+  if (journal) {
     // Journal the displaced snapshot; the swap pools its buffer so the
     // copy below reuses warmed capacity.
     std::swap(frame->old_final, final_loads_);

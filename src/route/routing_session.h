@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "route/routing.h"
@@ -17,42 +16,35 @@ struct CommodityEndpoints {
                          const CommodityEndpoints&) = default;
 };
 
-/// Incremental, transactional driver for the adaptive routing loop (the
-/// load-dependent MP and split-all kinds; DO/SM read static route tables and
-/// never touch a session).
+/// Incremental, transactional replay of split-all (SA) routing. The other
+/// kinds never touch a session: DO/SM read static route tables, and MP
+/// re-routes from scratch, which on paper-sized meshes is faster than any
+/// replay bookkeeping (see README "Transactional incremental routing").
 ///
 /// The from-scratch evaluation routes all commodities in canonical
 /// (decreasing-bandwidth) order, then runs `reroute_passes` rip-up rounds —
 /// a deterministic trace whose every Dijkstra depends on the link loads at
-/// that point of the trace. solve() replays that exact trace against the
-/// previous solve's recorded per-pass routes: a commodity's Dijkstra is
-/// skipped and its cached route reused only when that is *provably*
-/// bit-identical — its endpoints did not move (the dirty-commodity rule) and
-/// no link whose load differs from the cached trace is visible to its
-/// search (for MP, visibility is the §4.3 quadrant admission mask;
-/// split-all admits every link, so any live divergence forces the
-/// Dijkstra). Divergence is exact, not conservative: alongside the live
-/// LoadMap the session replays the *cached* trace's add/remove sequence
-/// into a shadow LoadMap (LoadMap arithmetic is deterministic, so the
-/// shadow is bit-identical to what the previous solve saw at the same trace
-/// point) and tracks the set of edges whose two loads differ bitwise. A
-/// reused Dijkstra therefore has provably identical inputs — overlapping
-/// old/new corridors cancel out of the divergence set, and one-ulp rip-up
-/// residues are detected rather than assumed away. The result is
-/// bit-identical to the from-scratch loop for every routing kind, with most
-/// Dijkstras skipped on swap-local traffic.
+/// that point of the trace. solve() replays that trace against the previous
+/// solve's recorded per-pass routes with prefix reuse: a clean commodity
+/// (its endpoints did not move — the dirty-commodity rule) reuses its
+/// cached route while no re-routed commodity has come out different from
+/// its cached route. Up to that first difference the live add/remove
+/// sequence *is* the cached trace, so the loads every reused Dijkstra would
+/// see are bit-identical to the ones it saw. Split-all admits every link,
+/// so after the first difference no later search can be proven unaffected
+/// and every remaining step re-routes. The result is bit-identical to the
+/// from-scratch loop.
 ///
 /// When a speculative solve displaces too many commodities (more than
 /// kFallbackDirtyNumerator/kFallbackDirtyDenominator of them are dirty) or
-/// the session has no valid base, it degrades gracefully to a full re-route
-/// that still records the trace for the next solve.
+/// the session has no valid base, it re-routes everything and still records
+/// the trace for the next solve.
 ///
 /// Transactional discipline mirrors fplan::FloorplanSession: a speculative
 /// solve opens an undo frame journaling every displaced route and endpoint
 /// verbatim; pop() restores them in O(frame), commit() folds all open frames
-/// into the base, frames nest, and destroying nothing is ever required —
-/// frames are pooled and reused. A destructive solve under open frames
-/// throws (protocol misuse).
+/// into the base, frames nest and are pooled. A destructive solve under
+/// open frames throws (protocol misuse).
 class RoutingSession {
  public:
   struct Stats {
@@ -85,12 +77,13 @@ class RoutingSession {
   [[nodiscard]] int open_frames() const { return frame_depth_; }
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
-  /// Routes every commodity through `engine` for the endpoint assignment
-  /// `endpoints`, bit-identical to the from-scratch canonical loop, writing
-  /// the accumulated final link loads into `loads` (cleared first). With
-  /// `speculative`, the displaced state is journaled in a new undo frame;
-  /// otherwise the new trace destructively becomes the base (throws
-  /// std::logic_error if frames are open).
+  /// Routes every commodity through the split-all `engine` for the endpoint
+  /// assignment `endpoints`, bit-identical to the from-scratch canonical
+  /// loop, writing the accumulated final link loads into `loads` (cleared
+  /// first). With `speculative`, the displaced state is journaled in a new
+  /// undo frame; otherwise the new trace destructively becomes the base
+  /// (throws std::logic_error if frames are open). Throws
+  /// std::invalid_argument for an engine of any other routing kind.
   void solve(const RoutingEngine& engine,
              const std::vector<CommodityEndpoints>& endpoints, LoadMap& loads,
              bool speculative);
@@ -120,12 +113,10 @@ class RoutingSession {
     int commodity = 0;
     CommodityEndpoints old_key;
   };
-  // deque keeps journaled old routes address-stable: during the replay the
-  // deviation bookkeeping points at them as the cached-side current routes.
   // Entries are pooled (routes_used high-water mark, swap in/swap out) so the
   // speculate/pop churn of an annealing walk never frees a route buffer.
   struct Frame {
-    std::deque<UndoEntry> routes;
+    std::vector<UndoEntry> routes;
     std::size_t routes_used = 0;
     std::vector<KeyUndo> keys;
     LoadMap old_final{0};  ///< displaced final-loads snapshot (buffer pooled)
@@ -143,12 +134,6 @@ class RoutingSession {
     return pass_routes_[static_cast<std::size_t>(pass * num_commodities() +
                                                  k)];
   }
-  void refresh_equality(const LoadMap& live, const RouteSet& routes);
-  [[nodiscard]] bool divergence_visible(const RoutingEngine& engine,
-                                        const CommodityEndpoints& key);
-  [[nodiscard]] std::uint64_t quadrant_tiles(const RoutingEngine& engine,
-                                             const CommodityEndpoints& key);
-  void note_saturation(const RoutingEngine& engine);
 
   int passes_ = 0;
   bool valid_ = false;
@@ -156,15 +141,7 @@ class RoutingSession {
   std::vector<CommodityEndpoints> key_;
   std::vector<RouteSet> pass_routes_;  ///< (passes_+1) x N, pass-major
 
-  // Replay-transient state (reset by every solve).
-  std::vector<char> dirty_;
-  LoadMap cached_loads_{0};            ///< shadow replay of the cached trace
-  std::vector<char> unequal_;          ///< per-edge: live != cached (bitwise)
-  std::vector<graph::EdgeId> unequal_edges_;  ///< set flags, for O(set) reset
-  int unequal_count_ = 0;
-  std::vector<const RouteSet*> cached_ptr_;  ///< cached route per trace slot
-  std::deque<RouteSet> replay_stash_;  ///< old routes, destructive solves
-  std::size_t stash_used_ = 0;         ///< pooled, like Frame::routes
+  std::vector<char> dirty_;  ///< per commodity, rebuilt by every solve
   RouteSet tmp_route_;
 
   // Final link loads of the most recent solve. When no endpoint moved at
@@ -173,22 +150,6 @@ class RoutingSession {
   // without touching a single route.
   LoadMap final_loads_{0};
   bool final_snapshot_ = false;
-
-  // O(1) visibility: switches hash onto 64 tiles (tile = id * 64 / count);
-  // unequal_tiles_ accumulates the tile of each divergent edge's source
-  // switch, and a commodity provably sees no divergence when its quadrant's
-  // tile mask misses every divergent tile. Once every edge-bearing tile
-  // (all_tiles_) is divergent — or any divergence exists under split-all —
-  // no remaining commodity can prove invisibility, so the solve flips to
-  // saturated mode and drops the shadow bookkeeping for its remainder,
-  // degrading to exactly the from-scratch loop.
-  std::uint64_t unequal_tiles_ = 0;
-  std::uint64_t all_tiles_ = 0;  ///< tiles holding >= 1 edge source switch
-  std::vector<std::uint64_t> edge_tile_;  ///< tile bit of each edge's source
-  bool saturated_ = false;
-  std::vector<std::uint64_t> quad_tiles_;   ///< per (src, dst) slot pair
-  std::vector<char> quad_tiles_ready_;
-  int quad_slots_ = 0;
 
   std::vector<Frame> frames_;  ///< pooled; frame_depth_ are open
   int frame_depth_ = 0;

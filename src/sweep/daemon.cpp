@@ -14,6 +14,7 @@
 #include <memory>
 #include <mutex>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -88,16 +89,23 @@ std::string handle_request(const std::string& text,
 void write_all_fd(int fd, const char* data, std::size_t size) {
   std::size_t done = 0;
   while (done < size) {
-    const ssize_t n = ::write(fd, data + done, size - done);
+    // MSG_NOSIGNAL: a peer that hung up must not SIGPIPE the process.
+    const ssize_t n = ::send(fd, data + done, size - done, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
-      return;  // Client gone; nothing useful left to do with this conn.
+      return;  // Peer gone; nothing useful left to do with this conn.
     }
     done += static_cast<std::size_t>(n);
   }
 }
 
-/// Reads the whole request: until a blank line terminator or EOF.
+/// Largest request the daemon buffers. Requests are a few hundred bytes of
+/// key=value lines; anything past this is refused before it can grow the
+/// buffer without bound.
+constexpr std::size_t kMaxRequestBytes = 65536;
+
+/// Reads the whole request: until a blank line terminator or EOF. Throws
+/// once more than kMaxRequestBytes arrived.
 std::string read_request(int fd) {
   std::string text;
   char buffer[4096];
@@ -109,6 +117,10 @@ std::string read_request(int fd) {
     }
     if (n == 0) break;
     text.append(buffer, static_cast<std::size_t>(n));
+    if (text.size() > kMaxRequestBytes) {
+      throw std::runtime_error("request exceeds " +
+                               std::to_string(kMaxRequestBytes) + " bytes");
+    }
     if (text.find("\n\n") != std::string::npos) break;
   }
   return text;

@@ -17,6 +17,9 @@ namespace sunmap::sweep {
 /// An unknown or repeated key, or a value its field cannot take, is
 /// answered with ERR.
 ///
+/// A request larger than 64 KiB is refused with
+/// `ERR request exceeds 65536 bytes` without being buffered further.
+///
 /// Response: `OK <byte count>\n` followed by exactly that many bytes of
 /// io::exploration_report_json, or `ERR <message>\n`.
 struct DaemonOptions {

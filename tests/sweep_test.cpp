@@ -339,6 +339,42 @@ TEST(Sweep, DaemonServesRepeatRequestsWithLiveContexts) {
   EXPECT_EQ(stats.requests_failed, 1);
 }
 
+TEST(Sweep, DaemonRefusesOversizedRequestAndKeepsServing) {
+  const std::string socket_path = testing::TempDir() + "sweep_daemon_cap.sock";
+  DaemonOptions options;
+  options.socket_path = socket_path;
+  options.max_requests = 2;
+  reset_stop();
+  DaemonStats stats;
+  std::thread server([&]() { stats = serve(options); });
+
+  // One key line padded far past the cap, with no blank terminator line
+  // until the very end: the daemon must stop reading and answer ERR.
+  const std::string oversized = "app=" + std::string(200000, 'v') + "\n";
+  std::string error;
+  for (int attempt = 0; attempt < 100 && error.empty(); ++attempt) {
+    try {
+      (void)call_daemon(socket_path, oversized);
+      error = "unexpected OK";
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      if (what.find("cannot connect") != std::string::npos) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        continue;
+      }
+      error = what;
+    }
+  }
+  EXPECT_EQ(error, "sweep daemon: request exceeds 65536 bytes");
+
+  const std::string reply =
+      call_daemon(socket_path, "app=vopd\nobjectives=delay\nroutings=DO\n");
+  EXPECT_NE(reply.find("\"winners\""), std::string::npos);
+  server.join();
+  EXPECT_EQ(stats.requests_served, 1);
+  EXPECT_EQ(stats.requests_failed, 1);
+}
+
 TEST(Sweep, ThreadedDaemonServesConcurrentClients) {
   const std::string socket_path = testing::TempDir() + "sweep_daemon_mt.sock";
   DaemonOptions options;
