@@ -166,4 +166,27 @@ std::int64_t count_min_paths(const DirectedGraph& g, NodeId src, NodeId dst,
   return count[static_cast<std::size_t>(dst)];
 }
 
+bool is_multitree(const DirectedGraph& g) {
+  // A traversal from s that reaches some node twice has found either a
+  // cycle or two paths from s to that node; a multitree allows neither.
+  std::vector<NodeId> seen_from(static_cast<std::size_t>(g.num_nodes()),
+                                kInvalidNode);
+  std::vector<NodeId> stack;
+  for (NodeId s = 0; s < g.num_nodes(); ++s) {
+    seen_from[static_cast<std::size_t>(s)] = s;
+    stack.assign(1, s);
+    while (!stack.empty()) {
+      const NodeId u = stack.back();
+      stack.pop_back();
+      for (EdgeId e : g.out_edges(u)) {
+        const NodeId v = g.edge(e).dst;
+        if (seen_from[static_cast<std::size_t>(v)] == s) return false;
+        seen_from[static_cast<std::size_t>(v)] = s;
+        stack.push_back(v);
+      }
+    }
+  }
+  return true;
+}
+
 }  // namespace sunmap::graph

@@ -18,6 +18,8 @@ namespace {
 
 using Kind = RequestField::Kind;
 
+// Each maximum is at least 16x the largest value the tests, examples and
+// benchmarks send.
 constexpr RequestField kFields[] = {
     {"app", "--app", Kind::kValue},
     {"objectives", "--objective", Kind::kList},
@@ -25,28 +27,28 @@ constexpr RequestField kFields[] = {
     {"bandwidths", "--bandwidth", Kind::kList},
     {"areas", "--max-area", Kind::kList},
     {"searches", "--search", Kind::kList},
-    {"restarts", "--restarts", Kind::kList},
-    {"swap_passes", "--swap-passes", Kind::kList},
+    {"restarts", "--restarts", Kind::kList, 1024},
+    {"swap_passes", "--swap-passes", Kind::kList, 256},
     {"fplan_engines", "--fplan-engine", Kind::kList},
     {"fplan_sizing_passes", "--fplan-sizing-passes", Kind::kList},
     {"faults", "--faults", Kind::kList},
-    {"fault_samples", "--fault-samples", Kind::kValue},
+    {"fault_samples", "--fault-samples", Kind::kValue, 1024},
     {"fault_seed", "--fault-seed", Kind::kValue},
     {"fault_mode", "--fault-mode", Kind::kValue},
     {"fault_penalty", "--fault-penalty", Kind::kValue},
-    {"reheat", "--reheat", Kind::kValue},
+    {"reheat", "--reheat", Kind::kValue, 256},
     {"w_delay", "--w-delay", Kind::kValue},
     {"w_area", "--w-area", Kind::kValue},
     {"w_power", "--w-power", Kind::kValue},
     {"sim_engine", "--sim-engine", Kind::kValue},
-    {"sim_finalists", "--sim-finalists", Kind::kValue},
+    {"sim_finalists", "--sim-finalists", Kind::kValue, 1024},
     {"sim_validate", "--sim-validate", Kind::kSwitch},
     {"sim_rank", "--sim-rank", Kind::kSwitch},
     {"sim_seed", "--sim-seed", Kind::kValue},
     {"sim_traffic", "--sim-traffic", Kind::kValue},
     {"sim_burst_len", "--sim-burst-len", Kind::kValue},
     {"sim_burst_duty", "--sim-burst-duty", Kind::kValue},
-    {"threads", "--threads", Kind::kValue},
+    {"threads", "--threads", Kind::kValue, 256},
     {"extensions", "--extensions", Kind::kSwitch},
 };
 
@@ -94,6 +96,18 @@ T parse_number(const std::string& text, const std::string& name,
     if (!std::isfinite(value)) bad_value(text, name, "must be finite");
   } else {
     if (value < min) bad_value(text, name, "must be >= " + std::to_string(min));
+  }
+  return value;
+}
+
+/// `value`, parsed from `text`, refused when above its field's maximum.
+template <typename T>
+T at_most(const RequestField& field, T value, const std::string& text,
+          const std::string& name) {
+  if constexpr (std::is_same_v<T, int>) {
+    if (field.max != 0 && value > field.max) {
+      bad_value(text, name, "must be <= " + std::to_string(field.max));
+    }
   }
   return value;
 }
@@ -330,11 +344,13 @@ BuiltRequest build_request(const RequestFields& fields, RequestShape shape) {
   const auto read = [&](const char* key, auto& target, const auto& parse) {
     const std::string* text = find(key);
     if (text == nullptr) return;
+    const RequestField& field = *field_by_key(key);
     const std::string name = field_name(fields, key);
-    if (field_by_key(key)->kind != Kind::kList) {
-      return store(target, parse(*text, name));
-    }
-    for (const auto& item : split_list(*text)) store(target, parse(item, name));
+    const auto parse_item = [&](const std::string& item) {
+      return at_most(field, parse(item, name), item, name);
+    };
+    if (field.kind != Kind::kList) return store(target, parse_item(*text));
+    for (const auto& item : split_list(*text)) store(target, parse_item(item));
   };
 
   BuiltRequest built;

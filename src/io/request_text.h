@@ -30,6 +30,10 @@ struct RequestField {
   const char* key;   ///< Daemon protocol key.
   const char* flag;  ///< CLI flag.
   Kind kind;
+  /// Largest value of an integer field (of each item, for a list); 0 when
+  /// unbounded. Bounds the work one request can ask for: a restart or
+  /// thread count near INT_MAX would hold a daemon worker for hours.
+  int max = 0;
 };
 
 /// The field table; the CLI usage text says what each field means.

@@ -124,6 +124,8 @@ RoutingEngine::RoutingEngine(const topo::Topology& topology, RoutingKind kind,
   if (options_.capacity_hint_mbps <= 0.0) {
     throw std::invalid_argument("RoutingEngine: capacity hint must be > 0");
   }
+  single_path_ = kind_ == RoutingKind::kSplitAll &&
+                 graph::is_multitree(topology_.switch_graph());
 }
 
 void RoutingEngine::route(topo::SlotId src, topo::SlotId dst, double demand,
@@ -300,6 +302,24 @@ void RoutingEngine::route_split_all(topo::SlotId src, topo::SlotId dst,
     return cost;
   };
 
+  const double chunk_fraction = 1.0 / static_cast<double>(split_chunks);
+  if (single_path_) {
+    // Every chunk's search finds chunk 0's path, the only one there is: the
+    // path keeps chunk 0's cost and sums the chunk fractions as the chunk
+    // loop below would.
+    out.paths.resize(1);
+    WeightedPath& only = out.paths.front();
+    if (!graph::shortest_path_into(
+            g, from, to,
+            [&](graph::EdgeId e) { return edge_cost(loads.load(e)); },
+            graph::AdmitAll{}, only.path)) {
+      throw std::logic_error("RoutingEngine: topology disconnected");
+    }
+    only.fraction = chunk_fraction;
+    for (int c = 1; c < split_chunks; ++c) only.fraction += chunk_fraction;
+    return;
+  }
+
   // Each edge's cost is derived once per call and then only for the edges
   // of each placed chunk's path — the only ones whose chunk load changed.
   SplitAllScratch& scratch = split_all_scratch();
@@ -315,7 +335,6 @@ void RoutingEngine::route_split_all(topo::SlotId src, topo::SlotId dst,
   // out's WeightedPaths are overwritten in place: slot `used` receives each
   // chunk's path and is kept only when it differs from every path so far
   // (identical chunk paths merge to keep the set small).
-  const double chunk_fraction = 1.0 / static_cast<double>(split_chunks);
   std::size_t used = 0;
   for (int c = 0; c < split_chunks; ++c) {
     if (used == out.paths.size()) out.paths.emplace_back();

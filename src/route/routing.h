@@ -210,6 +210,9 @@ class RoutingEngine {
   const topo::Topology& topology_;
   RoutingKind kind_;
   Options options_;
+  /// Split-all on a multitree switch graph: every chunk takes the one path
+  /// between two switches, so one search serves them all.
+  bool single_path_ = false;
 };
 
 }  // namespace sunmap::route

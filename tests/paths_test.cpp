@@ -215,5 +215,37 @@ TEST(CountMinPaths, RespectsCap) {
   EXPECT_EQ(count_min_paths(g, 0, prev, 100), 100);
 }
 
+TEST(IsMultitree, OnePathBetweenAnyTwoNodes) {
+  // A diamond without its shortcut edge: two paths 0 -> 3.
+  DirectedGraph two_paths(4);
+  two_paths.add_edge(0, 1);
+  two_paths.add_edge(0, 2);
+  two_paths.add_edge(1, 3);
+  two_paths.add_edge(2, 3);
+  EXPECT_FALSE(is_multitree(two_paths));
+
+  // Two sources sharing a sink and two sinks sharing a source are fine:
+  // every pair is still joined by one path.
+  DirectedGraph fork(5);
+  fork.add_edge(0, 2);
+  fork.add_edge(1, 2);
+  fork.add_edge(2, 3);
+  fork.add_edge(2, 4);
+  EXPECT_TRUE(is_multitree(fork));
+
+  DirectedGraph parallel(2);
+  parallel.add_edge(0, 1);
+  parallel.add_edge(0, 1);
+  EXPECT_FALSE(is_multitree(parallel));
+
+  DirectedGraph ring(3);
+  ring.add_edge(0, 1);
+  ring.add_edge(1, 2);
+  ring.add_edge(2, 0);
+  EXPECT_FALSE(is_multitree(ring));
+
+  EXPECT_TRUE(is_multitree(DirectedGraph(3)));
+}
+
 }  // namespace
 }  // namespace sunmap::graph

@@ -134,6 +134,34 @@ TEST(RequestText, StrictValuesAreRefusedByFieldName) {
             "bad value '5x' for --bandwidth");
 }
 
+TEST(RequestText, CountFieldsAreBoundedByName) {
+  int bounded = 0;
+  for (const RequestField& field : request_fields()) {
+    if (field.max == 0) continue;
+    ++bounded;
+    const std::string at_max = std::to_string(field.max);
+    const std::string over = std::to_string(field.max + 1);
+    const std::string refusal =
+        "bad value '" + over + "' for %s (must be <= " + at_max + ")";
+    const auto named = [&](const std::string& name) {
+      std::string text = refusal;
+      return text.replace(text.find("%s"), 2, name);
+    };
+    EXPECT_EQ(error_of(cli_fields({"--app", "vopd", field.flag, over})),
+              named(field.flag));
+    EXPECT_EQ(error_of(parse_request_text(std::string("app=vopd\n") +
+                                          field.key + "=" + over + "\n")),
+              named(field.key));
+    EXPECT_EQ(error_of(cli_fields({"--app", "vopd", field.flag, at_max})),
+              "(accepted)")
+        << field.flag;
+  }
+  EXPECT_EQ(bounded, 6);
+  // A list field bounds each of its items.
+  EXPECT_EQ(error_of(cli_fields({"--app", "vopd", "--restarts", "2,2000000000"})),
+            "bad value '2000000000' for --restarts (must be <= 1024)");
+}
+
 TEST(RequestText, DaemonTextRefusesUnknownRepeatedAndMalformedLines) {
   EXPECT_THROW((void)parse_request_text("app=vopd\nbogus_key=42\n"),
                RequestError);

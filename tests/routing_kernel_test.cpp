@@ -1,8 +1,11 @@
 // Bit-identity of the adaptive-routing kernel against a frozen copy of the
-// allocating implementation it replaced. RoutingEngine::route overwrites the
-// caller's RouteSet in place for minimum-path (MP) and split-all (SA)
-// routing, so a reused RouteSet must never leak a stale path, a stale tail
-// entry or a stale fraction into the result.
+// allocating heap-Dijkstra implementation it replaced. RoutingEngine::route
+// overwrites the caller's RouteSet in place for minimum-path (MP) and
+// split-all (SA) routing, so a reused RouteSet must never leak a stale path,
+// a stale tail entry or a stale fraction into the result. Switch graphs of
+// up to 64 nodes run the bitmask kernel and larger ones the heap kernel, so
+// the cases cover both sides of that line; split-all on a butterfly (a
+// multitree) searches once for all chunks.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +21,7 @@
 #include <vector>
 
 #include "route/routing.h"
+#include "topo/butterfly.h"
 #include "topo/library.h"
 #include "util/prng.h"
 
@@ -222,9 +226,11 @@ TEST_P(KernelBitIdentity, FreshAndReusedOutputsMatchFrozenReference) {
 
     RouteSet reused;
     make_stale(reused, g.num_nodes(), rng);
+    // Above 32 cores, every 89th slot pair keeps the sanitizer jobs short.
+    const int stride = param.cores > 32 ? 89 : 1;
     for (SlotId a = 0; a < topology.num_slots(); ++a) {
       for (SlotId b = 0; b < topology.num_slots(); ++b) {
-        if (a == b) continue;
+        if (a == b || (a * topology.num_slots() + b) % stride != 0) continue;
         const double demand = 5.0 + 400.0 * rng.next_double();
         const RouteSet expected =
             param.kind == RoutingKind::kMinPath
@@ -248,18 +254,176 @@ TEST_P(KernelBitIdentity, FreshAndReusedOutputsMatchFrozenReference) {
   }
 }
 
+// 64 cores puts the mesh and hypercube at exactly 64 switches, the bitmask
+// kernel's limit, and the star one above it; 72 cores puts the mesh (8x9),
+// hypercube, butterfly and star above it, on the heap kernel.
 INSTANTIATE_TEST_SUITE_P(
     StandardLibrary, KernelBitIdentity,
     ::testing::Values(KernelCase{RoutingKind::kMinPath, 12},
                       KernelCase{RoutingKind::kMinPath, 16},
                       KernelCase{RoutingKind::kMinPath, 32},
+                      KernelCase{RoutingKind::kMinPath, 64},
+                      KernelCase{RoutingKind::kMinPath, 72},
                       KernelCase{RoutingKind::kSplitAll, 12},
                       KernelCase{RoutingKind::kSplitAll, 16},
-                      KernelCase{RoutingKind::kSplitAll, 32}),
+                      KernelCase{RoutingKind::kSplitAll, 32},
+                      KernelCase{RoutingKind::kSplitAll, 72}),
     [](const auto& info) {
       return std::string(to_string(info.param.kind)) + "_" +
              std::to_string(info.param.cores) + "cores";
     });
+
+/// The kernel's result (`found`, `actual`) against the frozen reference's:
+/// same reachability, nodes, edges and bitwise cost.
+::testing::AssertionResult same_path(const std::optional<Path>& expected,
+                                     bool found, const Path& actual) {
+  if (found != expected.has_value()) {
+    return ::testing::AssertionFailure()
+           << (found ? "found a path where none exists" : "missed the path");
+  }
+  if (!found) return ::testing::AssertionSuccess();
+  if (actual.nodes != expected->nodes || actual.edges != expected->edges) {
+    return ::testing::AssertionFailure() << "paths differ";
+  }
+  if (std::bit_cast<std::uint64_t>(actual.cost) !=
+      std::bit_cast<std::uint64_t>(expected->cost)) {
+    return ::testing::AssertionFailure()
+           << "cost " << actual.cost << " != " << expected->cost;
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// Seeded graphs of 1..80 nodes, on both sides of the bitmask kernel's
+// 64-node line, with parallel edges and small integer costs so that
+// equal-cost paths abound and only the (dist, id) settle order and the
+// strict-< rule decide between them. Sparse graphs leave targets
+// unreachable; every source is also its own target.
+TEST(ShortestPathKernel, TieHeavyRandomGraphsMatchFrozenReference) {
+  util::Prng rng(0x71e5ULL);
+  for (int n = 1; n <= 80; ++n) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    for (int round = 0; round < 2; ++round) {
+      DirectedGraph g(n);
+      const std::uint64_t edge_count =
+          n < 2 ? 0 : rng.next_below(4 * static_cast<std::uint64_t>(n));
+      for (std::uint64_t i = 0; i < edge_count; ++i) {
+        const auto u = static_cast<NodeId>(rng.next_below(n));
+        const auto v = static_cast<NodeId>(rng.next_below(n));
+        if (u == v) continue;
+        g.add_edge(u, v);
+        if (rng.chance(0.2)) g.add_edge(u, v);
+      }
+      std::vector<double> costs;
+      for (EdgeId e = 0; e < g.num_edges(); ++e) {
+        costs.push_back(static_cast<double>(rng.next_below(4)));
+      }
+      std::vector<char> admitted;
+      for (NodeId u = 0; u < n; ++u) admitted.push_back(rng.chance(0.8));
+      const auto cost = [&](EdgeId e) {
+        return costs[static_cast<std::size_t>(e)];
+      };
+      const auto filtered = [&](NodeId u) {
+        return admitted[static_cast<std::size_t>(u)] != 0;
+      };
+      const auto admit_all = [](NodeId) { return true; };
+
+      Path stale;
+      const int pairs = n <= 16 ? n * n : 256;
+      for (int p = 0; p < pairs; ++p) {
+        const auto src = static_cast<NodeId>(n <= 16 ? p / n
+                                                     : rng.next_below(n));
+        const auto dst = static_cast<NodeId>(
+            n <= 16 ? p % n : (p % 16 == 0 ? src : rng.next_below(n)));
+        for (const bool filter : {false, true}) {
+          const auto expected =
+              filter ? frozen_shortest_path(g, src, dst, cost, filtered)
+                     : frozen_shortest_path(g, src, dst, cost, admit_all);
+          Path fresh;
+          const bool found_fresh =
+              filter ? graph::shortest_path_into(g, src, dst, cost, filtered,
+                                                 fresh)
+                     : graph::shortest_path_into(g, src, dst, cost,
+                                                 graph::AdmitAll{}, fresh);
+          ASSERT_TRUE(same_path(expected, found_fresh, fresh))
+              << "fresh " << src << "->" << dst << " filter " << filter;
+
+          stale.nodes.assign(3 * static_cast<std::size_t>(n) + 1, n - 1);
+          stale.edges.assign(3 * static_cast<std::size_t>(n), 0);
+          stale.cost = -1.0;
+          const bool found_stale =
+              filter ? graph::shortest_path_into(g, src, dst, cost, filtered,
+                                                 stale)
+                     : graph::shortest_path_into(g, src, dst, cost,
+                                                 graph::AdmitAll{}, stale);
+          ASSERT_TRUE(same_path(expected, found_stale, stale))
+              << "stale " << src << "->" << dst << " filter " << filter;
+        }
+      }
+    }
+  }
+}
+
+TEST(ShortestPathKernel, NegativeCostThrowsOnBothKernels) {
+  for (const int n : {8, 70}) {
+    DirectedGraph g(n);
+    for (NodeId u = 0; u + 1 < n; ++u) g.add_edge(u, u + 1);
+    Path path;
+    EXPECT_THROW((void)graph::shortest_path_into(
+                     g, 0, n - 1,
+                     [](EdgeId e) { return e == 3 ? -1.0 : 1.0; },
+                     graph::AdmitAll{}, path),
+                 std::invalid_argument)
+        << n << " nodes";
+  }
+}
+
+// The split-all engine searches once per commodity exactly when the switch
+// graph is a multitree, and among the library topologies those are the
+// butterflies.
+TEST(SplitAllKernel, MultitreesAreExactlyTheButterflies) {
+  for (const int cores : {8, 12, 16, 32, 64}) {
+    const auto library = topo::standard_library(cores,
+                                                /*include_extensions=*/true);
+    for (const auto& topology : library) {
+      const bool butterfly =
+          dynamic_cast<const topo::Butterfly*>(topology.get()) != nullptr;
+      EXPECT_EQ(graph::is_multitree(topology->switch_graph()), butterfly)
+          << topology->name() << " at " << cores << " cores";
+    }
+  }
+}
+
+// 5 chunks as in the library cases; with 10 the chunk-by-chunk sum of 1/10
+// is 0.9999999999999999, so a fraction of 1.0 or 10 * (1/10) would differ.
+TEST(SplitAllKernel, ButterflyGivesEveryChunkOnePath) {
+  const auto butterfly = topo::make_butterfly_for(16);
+  for (const int chunks : {5, 10}) {
+    RoutingEngine::Options options;
+    options.split_chunks = chunks;
+    options.capacity_hint_mbps = 300.0;
+    const RoutingEngine engine(*butterfly, RoutingKind::kSplitAll, options);
+    util::Prng rng(0xf1eULL);
+    LoadMap loads(butterfly->switch_graph().num_edges());
+    for (EdgeId e = 0; e < loads.num_edges(); ++e) {
+      loads.add(e, 400.0 * rng.next_double());
+    }
+    RouteSet reused;
+    for (SlotId a = 0; a < butterfly->num_slots(); ++a) {
+      for (SlotId b = 0; b < butterfly->num_slots(); ++b) {
+        if (a == b) continue;
+        const double demand = 5.0 + 400.0 * rng.next_double();
+        const RouteSet expected = frozen_split_all(
+            engine, a, b, demand, loads, options.capacity_hint_mbps);
+        engine.route(a, b, demand, loads, reused);
+        ASSERT_EQ(reused.paths.size(), 1U) << chunks << ": " << a << "->" << b;
+        ASSERT_TRUE(identical(expected, reused))
+            << chunks << ": " << a << "->" << b;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(reused.paths[0].fraction),
+                  std::bit_cast<std::uint64_t>(expected.paths[0].fraction));
+      }
+    }
+  }
+}
 
 }  // namespace
 }  // namespace sunmap::route

@@ -375,6 +375,47 @@ TEST(Sweep, DaemonRefusesOversizedRequestAndKeepsServing) {
   EXPECT_EQ(stats.requests_failed, 1);
 }
 
+TEST(Sweep, DaemonRefusesUnboundedCountAndKeepsServing) {
+  const std::string socket_path =
+      testing::TempDir() + "sweep_daemon_bound.sock";
+  DaemonOptions options;
+  options.socket_path = socket_path;
+  options.max_requests = 2;
+  reset_stop();
+  DaemonStats stats;
+  std::thread server([&]() { stats = serve(options); });
+
+  // Two billion restart chains would hold the worker for hours; the count
+  // is refused by name before any evaluation starts.
+  const std::string expensive =
+      "app=dsp\nobjectives=delay\nroutings=DO\nsearches=rsa\n"
+      "restarts=2000000000\n";
+  std::string error;
+  for (int attempt = 0; attempt < 100 && error.empty(); ++attempt) {
+    try {
+      (void)call_daemon(socket_path, expensive);
+      error = "unexpected OK";
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      if (what.find("cannot connect") != std::string::npos) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        continue;
+      }
+      error = what;
+    }
+  }
+  EXPECT_EQ(error,
+            "sweep daemon: bad value '2000000000' for restarts "
+            "(must be <= 1024)");
+
+  const std::string reply =
+      call_daemon(socket_path, "app=vopd\nobjectives=delay\nroutings=DO\n");
+  EXPECT_NE(reply.find("\"winners\""), std::string::npos);
+  server.join();
+  EXPECT_EQ(stats.requests_served, 1);
+  EXPECT_EQ(stats.requests_failed, 1);
+}
+
 TEST(Sweep, ThreadedDaemonServesConcurrentClients) {
   const std::string socket_path = testing::TempDir() + "sweep_daemon_mt.sock";
   DaemonOptions options;
