@@ -23,8 +23,10 @@
 #include <chrono>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace {
@@ -209,39 +211,22 @@ int main(int argc, char** argv) {
   }
   std::printf("%s", pruning.to_string().c_str());
 
-  // ---- Transactional incremental floorplanning across SA accept/reject. --
+  // ---- Simulated annealing through the transactional session path. ------
   //
-  // Simulated annealing is the pathological client of incremental
-  // floorplanning: roughly half its candidates are rejected, so before the
-  // DeltaTxn protocol every rejected swap left the scratch session dirty.
-  // This section runs the SA workloads with the transactional incremental
-  // path (the default) against the from-scratch reference
-  // (MapperConfig::incremental_floorplan = false) and enforces both
-  // bit-identity and the wall-clock win.
+  // SA rejects roughly half its candidates, so every run exercises the
+  // DeltaTxn floorplan-session pushes and pops on accept and reject. The
+  // runs are timed as sub-benchmarks; their bit-identity with the
+  // from-scratch evaluator is delta_txn_test's job, and bench_floorplan
+  // gates the session itself against Floorplanner::place.
   //
   // Setup notes: netproc16 is excluded — its cores share one shape class on
   // a fully occupied mesh, so every mapping has the same floorplan key and
   // the floorplan path is never exercised. Routing is dimension-ordered
-  // (static route tables): under the load-adaptive functions the per-eval
-  // Dijkstras dominate wall time equally on both sides and would only
-  // drown the floorplan signal being gated. Each workload runs with the
-  // default sizing descent (reported, gated >= 1.25x in aggregate — the
-  // descent itself runs identically on both sides) and with the rigid
-  // engine (sizing_passes = 0, gated >= 2x in aggregate, where the
-  // delta-vs-rebuild win is isolated).
+  // (static route tables), so the Dijkstras of the load-adaptive functions
+  // do not drown the floorplan work. Each workload runs with the default
+  // sizing descent and with the rigid engine (sizing_passes = 0).
   bench::print_heading(
-      "Transactional SA: incremental floorplan deltas across accept/reject "
-      "vs from-scratch reference (bit-identical by contract)");
-  struct SaRow {
-    std::string key;
-    double incremental_ms = 0.0;
-    double reference_ms = 0.0;
-    bool bit_identical = false;
-
-    [[nodiscard]] double speedup() const {
-      return incremental_ms > 0.0 ? reference_ms / incremental_ms : 0.0;
-    }
-  };
+      "Transactional SA: incremental floorplan deltas across accept/reject");
   apps::SyntheticSpec synth_spec;
   synth_spec.num_cores = 48;
   synth_spec.edge_density = 0.05;
@@ -264,12 +249,8 @@ int main(int argc, char** argv) {
   sa_workloads.push_back(
       {"synth48", &synth_app, synth_mesh.get(), 4000.0, 1000});
 
-  std::vector<SaRow> sa_rows;
-  util::Table sa_table({"workload", "sizing", "incremental ms",
-                        "from-scratch ms", "speedup", "bit-identical"});
-  bool sa_identical = true;
-  double sized_inc_total = 0.0, sized_ref_total = 0.0;
-  double rigid_inc_total = 0.0, rigid_ref_total = 0.0;
+  std::vector<std::pair<std::string, double>> sa_rows;
+  util::Table sa_table({"workload", "sizing", "ms"});
   for (const auto& w : sa_workloads) {
     for (const bool rigid : {false, true}) {
       mapping::MapperConfig config;
@@ -279,50 +260,19 @@ int main(int argc, char** argv) {
       config.annealing_iterations = w.iterations;
       if (rigid) config.floorplan.sizing_passes = 0;
 
-      mapping::MappingResult incremental_result, reference_result;
-      double incremental_ms = std::numeric_limits<double>::infinity();
-      double reference_ms = std::numeric_limits<double>::infinity();
+      const mapping::Mapper mapper(config);
+      double ms = std::numeric_limits<double>::infinity();
       for (int round = 0; round < 3; ++round) {
-        const mapping::Mapper mapper(config);
-        incremental_ms = std::min(incremental_ms, timed_ms([&] {
-          incremental_result = mapper.map(*w.app, *w.mesh);
-        }));
-        auto reference_config = config;
-        reference_config.incremental_floorplan = false;
-        const mapping::Mapper reference(reference_config);
-        reference_ms = std::min(reference_ms, timed_ms([&] {
-          reference_result = reference.map(*w.app, *w.mesh);
+        ms = std::min(ms, timed_ms([&] {
+          benchmark::DoNotOptimize(mapper.map(*w.app, *w.mesh));
         }));
       }
-      SaRow row;
-      row.key = w.name + (rigid ? "_sa_rigid" : "_sa");
-      row.incremental_ms = incremental_ms;
-      row.reference_ms = reference_ms;
-      row.bit_identical =
-          incremental_result.core_to_slot == reference_result.core_to_slot &&
-          incremental_result.eval.cost == reference_result.eval.cost &&
-          incremental_result.evaluated_mappings ==
-              reference_result.evaluated_mappings;
-      sa_identical = sa_identical && row.bit_identical;
-      (rigid ? rigid_inc_total : sized_inc_total) += incremental_ms;
-      (rigid ? rigid_ref_total : sized_ref_total) += reference_ms;
       sa_table.add_row({w.name, rigid ? "rigid" : "default",
-                        util::Table::num(incremental_ms, 1),
-                        util::Table::num(reference_ms, 1),
-                        util::Table::num(row.speedup(), 2) + "x",
-                        row.bit_identical ? "yes" : "NO"});
-      sa_rows.push_back(std::move(row));
+                        util::Table::num(ms, 1)});
+      sa_rows.emplace_back(w.name + (rigid ? "_sa_rigid" : "_sa"), ms);
     }
   }
-  const double sa_speedup_rigid =
-      rigid_inc_total > 0.0 ? rigid_ref_total / rigid_inc_total : 0.0;
-  const double sa_speedup_sized =
-      sized_inc_total > 0.0 ? sized_ref_total / sized_inc_total : 0.0;
-  std::printf("%saggregate SA speedup: %.2fx rigid, %.2fx with sizing\n",
-              sa_table.to_string().c_str(), sa_speedup_rigid,
-              sa_speedup_sized);
-  const bool annealing_incremental =
-      sa_identical && sa_speedup_rigid >= 2.0 && sa_speedup_sized >= 1.25;
+  std::printf("%s", sa_table.to_string().c_str());
 
   // Per-objective aggregate pruning rates over the three workloads — the
   // acceptance bar: min-area and min-power searches must each bound-prune
@@ -360,15 +310,6 @@ int main(int argc, char** argv) {
                  "reference\n");
     status = 1;
   }
-  if (!annealing_incremental) {
-    std::fprintf(stderr,
-                 "FAIL: transactional SA lost its incremental-floorplan win "
-                 "(bit-identical %s, rigid %.2fx vs the 2x bar, sized %.2fx "
-                 "vs the 1.25x bar)\n",
-                 sa_identical ? "yes" : "NO", sa_speedup_rigid,
-                 sa_speedup_sized);
-    status = 1;
-  }
   if (area_fraction <= 0.5 || power_fraction <= 0.5) {
     std::fprintf(stderr,
                  "FAIL: aggregate bound pruning below the 50%% bar "
@@ -391,30 +332,14 @@ int main(int argc, char** argv) {
                  "  \"restarts\": %d,\n"
                  "  \"restart_never_worse\": %s,\n"
                  "  \"bit_identical\": %s,\n"
-                 "  \"annealing_incremental\": %s,\n"
-                 "  \"annealing_speedup_rigid\": %.3f,\n"
-                 "  \"annealing_speedup_sized\": %.3f,\n"
                  "  \"min_prune_fraction\": %.4f,\n"
                  "  \"min_area_prune_fraction\": %.4f,\n"
                  "  \"min_power_prune_fraction\": %.4f,\n",
                  total_ms, kAnnealIterations, kRestarts,
                  restart_never_worse ? "true" : "false",
-                 all_identical ? "true" : "false",
-                 annealing_incremental ? "true" : "false", sa_speedup_rigid,
-                 sa_speedup_sized, min_fraction, area_fraction,
-                 power_fraction);
-    std::fprintf(out, "  \"annealing\": [\n");
-    for (std::size_t i = 0; i < sa_rows.size(); ++i) {
-      const auto& row = sa_rows[i];
-      std::fprintf(out,
-                   "    {\"run\": \"%s\", \"wall_ms\": %.3f, "
-                   "\"from_scratch_ms\": %.3f, \"speedup\": %.3f, "
-                   "\"bit_identical\": %s}%s\n",
-                   row.key.c_str(), row.incremental_ms, row.reference_ms,
-                   row.speedup(), row.bit_identical ? "true" : "false",
-                   i + 1 < sa_rows.size() ? "," : "");
-    }
-    std::fprintf(out, "  ],\n  \"strategies\": [\n");
+                 all_identical ? "true" : "false", min_fraction,
+                 area_fraction, power_fraction);
+    std::fprintf(out, "  \"strategies\": [\n");
     for (std::size_t i = 0; i < strategy_rows.size(); ++i) {
       const auto& row = strategy_rows[i];
       std::fprintf(out,
@@ -441,9 +366,8 @@ int main(int argc, char** argv) {
       std::fprintf(out, "    \"%s\": %.3f,\n",
                    strategy_rows[i].key.c_str(), strategy_rows[i].wall_ms);
     }
-    for (const auto& row : sa_rows) {
-      std::fprintf(out, "    \"%s\": %.3f,\n", row.key.c_str(),
-                   row.incremental_ms);
+    for (const auto& [key, ms] : sa_rows) {
+      std::fprintf(out, "    \"%s\": %.3f,\n", key.c_str(), ms);
     }
     for (std::size_t i = 0; i < prune_rows.size(); ++i) {
       std::fprintf(out, "    \"%s_pruned\": %.3f%s\n",

@@ -19,9 +19,7 @@
 //
 // `--json[=path]` dumps BENCH_sim.json. Gated invariants: sim_bit_identical
 // (every engine-probe leg), sim_event_3x (time-weighted aggregate event
-// speedup over the gated light-load legs >= 3x), sim_hot_path_1p3x (the
-// storage-overhauled event engine >= 1.3x the in-binary frozen pre-overhaul
-// BaselineSimulator, bit-identical on every leg), and
+// speedup over the gated light-load legs >= 3x), and
 // finalist_parallel_identical (the parallel finalist tier merges
 // bit-identically at every thread count; >= 1.7x at 2 workers gated when
 // the host gives 2 cores around the scaling leg, per bench::effective_cores
@@ -32,7 +30,6 @@
 #include "mapping/sim_eval.h"
 #include "select/explorer.h"
 #include "select/selector.h"
-#include "sim/baseline_sim.h"
 #include "sim/simulator.h"
 #include "topo/library.h"
 #include "util/table.h"
@@ -298,70 +295,6 @@ EngineRow run_engine_leg(const EngineLeg& leg) {
   return row;
 }
 
-// ---- Hot-path probe: the overhauled engine vs the frozen PR baseline. ----
-
-struct HotPathRow {
-  std::string key;
-  double baseline_ms = 0.0;
-  double current_ms = 0.0;
-  bool bit_identical = false;
-
-  [[nodiscard]] double speedup() const {
-    return current_ms > 0.0 ? baseline_ms / current_ms : 0.0;
-  }
-};
-
-/// Runs one engine-probe leg on the event engine under both the current
-/// Simulator (pooled events, SoA flit storage) and the frozen pre-overhaul
-/// BaselineSimulator retained in-binary as the machine-independent perf
-/// reference. The statistics must match bit for bit — the overhaul changed
-/// storage, never behavior — and the aggregate speedup gates the >= 1.3x
-/// acceptance bar.
-HotPathRow run_hot_path_leg(const EngineLeg& leg) {
-  const int num_slots = leg.topology->num_slots();
-  const auto routes = sim::RouteTable::all_pairs(*leg.topology, leg.kind);
-  const auto layout = sim::make_network_layout(*leg.topology);
-  auto config = leg.config;
-  config.engine = sim::SimEngine::kEventDriven;
-  sim::Simulator current(*leg.topology, routes, config, layout);
-  sim::BaselineSimulator baseline(*leg.topology, routes, config, layout);
-
-  HotPathRow row;
-  row.key = leg.key;
-  {
-    const auto current_traffic = leg.traffic(num_slots);
-    const auto current_stats = current.run(*current_traffic);
-    const auto baseline_traffic = leg.traffic(num_slots);
-    const auto baseline_stats = baseline.run(*baseline_traffic);
-    row.bit_identical = stats_identical(current_stats, baseline_stats);
-  }
-  row.baseline_ms = std::numeric_limits<double>::infinity();
-  row.current_ms = std::numeric_limits<double>::infinity();
-  for (int round = 0; round < kTimingRounds; ++round) {
-    {
-      const auto traffic = leg.traffic(num_slots);
-      const auto t0 = std::chrono::steady_clock::now();
-      const auto stats = current.run(*traffic);
-      const auto t1 = std::chrono::steady_clock::now();
-      benchmark::DoNotOptimize(stats);
-      row.current_ms = std::min(
-          row.current_ms,
-          std::chrono::duration<double, std::milli>(t1 - t0).count());
-    }
-    {
-      const auto traffic = leg.traffic(num_slots);
-      const auto t0 = std::chrono::steady_clock::now();
-      const auto stats = baseline.run(*traffic);
-      const auto t1 = std::chrono::steady_clock::now();
-      benchmark::DoNotOptimize(stats);
-      row.baseline_ms = std::min(
-          row.baseline_ms,
-          std::chrono::duration<double, std::milli>(t1 - t0).count());
-    }
-  }
-  return row;
-}
-
 // ---- Parallel finalist tier: thread scaling, bit-identity gated. ---------
 
 struct FinalistScaling {
@@ -596,32 +529,6 @@ int main(int argc, char** argv) {
               engine_table.to_string().c_str(), light_load_speedup);
 
   bench::print_heading(
-      "Hot-path probe: overhauled event engine vs frozen pre-overhaul "
-      "baseline (bit-identity gated on every leg; >=1.3x aggregate gated)");
-  std::vector<HotPathRow> hot_rows;
-  util::Table hot_table({"leg", "baseline ms", "current ms", "speedup",
-                         "bit-identical"});
-  bool hot_identical = true;
-  double hot_baseline_ms = 0.0;
-  double hot_current_ms = 0.0;
-  for (const auto& leg : make_engine_legs(workloads)) {
-    auto row = run_hot_path_leg(leg);
-    hot_identical = hot_identical && row.bit_identical;
-    hot_baseline_ms += row.baseline_ms;
-    hot_current_ms += row.current_ms;
-    hot_table.add_row({row.key, util::Table::num(row.baseline_ms, 2),
-                       util::Table::num(row.current_ms, 2),
-                       util::Table::num(row.speedup(), 2) + "x",
-                       row.bit_identical ? "yes" : "NO"});
-    hot_rows.push_back(std::move(row));
-  }
-  const double hot_path_speedup =
-      hot_current_ms > 0.0 ? hot_baseline_ms / hot_current_ms : 0.0;
-  std::printf("%shot-path aggregate: %.2fx over the frozen baseline "
-              "(bar: 1.3x)\n",
-              hot_table.to_string().c_str(), hot_path_speedup);
-
-  bench::print_heading(
       "Parallel finalist tier: simulate_finalists() thread scaling "
       "(bit-identical merge gated at every thread count)");
   const unsigned hardware_threads = std::thread::hardware_concurrency();
@@ -658,7 +565,6 @@ int main(int argc, char** argv) {
   std::printf("%s", validation_table.to_string().c_str());
 
   const bool event_3x = light_load_speedup >= 3.0;
-  const bool hot_path_1p3x = hot_path_speedup >= 1.3;
   int status = 0;
   if (!all_identical) {
     std::fprintf(stderr,
@@ -671,19 +577,6 @@ int main(int argc, char** argv) {
                  "FAIL: gated light-load event speedup %.2fx below the 3x "
                  "acceptance bar\n",
                  light_load_speedup);
-    status = 1;
-  }
-  if (!hot_identical) {
-    std::fprintf(stderr,
-                 "FAIL: the overhauled event engine diverged from the frozen "
-                 "pre-overhaul baseline\n");
-    status = 1;
-  }
-  if (!hot_path_1p3x) {
-    std::fprintf(stderr,
-                 "FAIL: hot-path speedup %.2fx over the frozen baseline is "
-                 "below the 1.3x acceptance bar\n",
-                 hot_path_speedup);
     status = 1;
   }
   if (!finalist.identical) {
@@ -716,8 +609,6 @@ int main(int argc, char** argv) {
                  "  \"sim_bit_identical\": %s,\n"
                  "  \"sim_event_3x\": %s,\n"
                  "  \"event_speedup_light_load\": %.3f,\n"
-                 "  \"sim_hot_path_1p3x\": %s,\n"
-                 "  \"hot_path_speedup\": %.3f,\n"
                  "  \"finalist_parallel_identical\": %s,\n"
                  "  \"finalist_speedup_2t\": %.3f,\n"
                  "  \"finalist_cells\": %zu,\n"
@@ -725,21 +616,9 @@ int main(int argc, char** argv) {
                  "  \"effective_cores_2\": %.3f,\n",
                  total_ms, all_identical ? "true" : "false",
                  event_3x ? "true" : "false", light_load_speedup,
-                 hot_path_1p3x ? "true" : "false", hot_path_speedup,
                  finalist.identical ? "true" : "false", finalist_speedup_2t,
                  finalist.cells, hardware_threads, effective_cores_2);
-    std::fprintf(out, "  \"hot_path_probe\": [\n");
-    for (std::size_t i = 0; i < hot_rows.size(); ++i) {
-      const auto& row = hot_rows[i];
-      std::fprintf(out,
-                   "    {\"run\": \"%s\", \"baseline_ms\": %.3f, "
-                   "\"current_ms\": %.3f, \"speedup\": %.3f, "
-                   "\"bit_identical\": %s}%s\n",
-                   row.key.c_str(), row.baseline_ms, row.current_ms,
-                   row.speedup(), row.bit_identical ? "true" : "false",
-                   i + 1 < hot_rows.size() ? "," : "");
-    }
-    std::fprintf(out, "  ],\n  \"finalist_scaling\": [\n");
+    std::fprintf(out, "  \"finalist_scaling\": [\n");
     for (std::size_t i = 0; i < finalist.threads.size(); ++i) {
       std::fprintf(out,
                    "    {\"threads\": %d, \"ms\": %.3f, \"speedup\": %.3f}%s\n",
@@ -776,8 +655,8 @@ int main(int argc, char** argv) {
                    i + 1 < validation_rows.size() ? "," : "");
     }
     // Only the event legs are tracked sub-benchmarks: the cycle-stepped
-    // legs and the frozen BaselineSimulator are deliberately slower
-    // reference engines. The finalist tier's per-thread timings ride along.
+    // legs are the deliberately slower reference engine. The finalist
+    // tier's per-thread timings ride along.
     std::fprintf(out, "  ],\n  \"sub_benchmarks\": {\n");
     for (const auto& row : engine_rows) {
       std::fprintf(out, "    \"%s_event\": %.3f,\n", row.key.c_str(),

@@ -25,12 +25,10 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from check_bench_regression import INVARIANT_KEYS as GATED_INVARIANT_KEYS
 
 INVARIANT_KEYS = GATED_INVARIANT_KEYS + (
-    "annealing_speedup_rigid", "annealing_speedup_sized",
     "annealing_txn_speedup_rigid", "annealing_txn_speedup_sized",
     "aggregate_speedup", "min_prune_fraction", "min_area_prune_fraction",
-    "min_power_prune_fraction", "fault_incremental_speedup",
-    "session_speedup_splitall",
-    "event_speedup_light_load", "hot_path_speedup", "finalist_speedup_2t")
+    "min_power_prune_fraction", "session_speedup_splitall",
+    "event_speedup_light_load", "finalist_speedup_2t")
 
 
 def fmt_ms(value) -> str:
@@ -85,25 +83,6 @@ def main() -> int:
             print(f"| {key} | {old if old is not None else '—'} | "
                   f"{new}{marker} |")
 
-    # The fault probe also records how degraded-mode re-evaluation scales
-    # with the number of injected scenarios; render it as its own table so
-    # the trend (incremental flat-ish, reference linear) stays visible.
-    scaling = current.get("scenario_scaling")
-    if scaling:
-        baseline_scaling = {point.get("scenarios"): point
-                            for point in baseline.get("scenario_scaling", [])}
-        print("\n| scenarios | incremental ms | reference ms | speedup | "
-              "baseline speedup |")
-        print("|---|---|---|---|---|")
-        for point in scaling:
-            old = baseline_scaling.get(point.get("scenarios"), {})
-            old_speedup = old.get("speedup")
-            print(f"| {point['scenarios']} | "
-                  f"{fmt_ms(point['incremental_ms'])} | "
-                  f"{fmt_ms(point['reference_ms'])} | "
-                  f"{float(point['speedup']):.2f}x | "
-                  f"{f'{float(old_speedup):.2f}x' if old_speedup is not None else '—'} |")
-
     # The distributed probe records how the sweep scales with forked worker
     # processes against the single-process explorer; render it the same way
     # so the fork/merge overhead trend stays visible across runners.
@@ -140,25 +119,6 @@ def main() -> int:
                   f"{float(row['speedup']):.2f}x | "
                   f"{f'{float(old_speedup):.2f}x' if old_speedup is not None else '—'} | "
                   f"{float(row['event_events_per_sec']) / 1e6:.2f} |")
-
-    # The simulation probe also compares the overhauled event engine against
-    # the frozen in-binary pre-overhaul baseline per leg; keep the hot-path
-    # win visible as the router model keeps growing.
-    probe = current.get("hot_path_probe")
-    if probe:
-        baseline_probe = {row.get("run"): row
-                          for row in baseline.get("hot_path_probe", [])}
-        print("\n| leg | frozen-baseline ms | current ms | speedup | "
-              "baseline speedup |")
-        print("|---|---|---|---|---|")
-        for row in probe:
-            old = baseline_probe.get(row.get("run"), {})
-            old_speedup = old.get("speedup")
-            print(f"| {row['run']} | "
-                  f"{fmt_ms(row['baseline_ms'])} | "
-                  f"{fmt_ms(row['current_ms'])} | "
-                  f"{float(row['speedup']):.2f}x | "
-                  f"{f'{float(old_speedup):.2f}x' if old_speedup is not None else '—'} |")
 
     # And how the parallel finalist tier scales with worker threads (the
     # 2-thread bar is gated on multi-core machines only).

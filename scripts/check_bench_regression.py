@@ -29,13 +29,12 @@ import sys
 
 # Correctness invariants recorded alongside the timings, when present: the
 # probes' mapping costs, candidate counts, bit-identity flags, the
-# incremental floorplanner's 2x acceptance bar, and the transactional
-# annealing win (bit-identical SA with incremental floorplan deltas on
-# accept AND reject, >= 2x where the delta-vs-rebuild machinery is
-# isolated), and the fault-evaluation pair (an empty fault set leaves the
-# mapping search bit-identical; degraded re-evaluation through prebuilt
-# per-scenario BFS tables is >= 2x the from-scratch masked searches) are
-# part of the contract and must not drift as the engine gets faster. The
+# incremental floorplanner's 2x acceptance bar, the transactional annealing
+# win (bit-identical SA with incremental floorplan deltas on accept AND
+# reject, >= 2x where the delta-vs-rebuild machinery is isolated), and the
+# fault-free bit-identity (an empty fault set leaves the mapping search
+# bit-identical) are part of the contract and must not drift as the engine
+# gets faster. The
 # distributed-sweep probe adds two more: a merged multi-process report and
 # a checkpoint-resumed report must both stay bit-identical to the
 # single-process explorer. The routing probe adds the transactional
@@ -45,19 +44,15 @@ import sys
 # no session; it routes from scratch). The simulation probe adds the engine pair: the
 # event-driven engine is bit-identical to the cycle-stepped reference on
 # every leg (the full SimStats record, verdict paths included), and the
-# light-load legs keep the >= 3x aggregate event speedup. The simulator
-# hot-path overhaul adds two more: the overhauled event engine stays
-# bit-identical to the frozen in-binary pre-overhaul baseline while keeping
-# the >= 1.3x aggregate speedup over it, and the explorer's parallel
-# finalist tier merges simulation scores bit-identically to the serial pass
-# at every thread count.
+# light-load legs keep the >= 3x aggregate event speedup, and the
+# explorer's parallel finalist tier merges simulation scores
+# bit-identically to the serial pass at every thread count.
 INVARIANT_KEYS = ("cost", "evaluated_mappings", "pruned_mappings",
                   "bit_identical", "restart_never_worse", "incremental_2x",
                   "annealing_incremental", "fault_free_bit_identical",
-                  "fault_incremental_2x", "merge_bit_identical",
-                  "resume_bit_identical", "routing_bit_identical",
-                  "routing_incremental_2x", "sim_bit_identical",
-                  "sim_event_3x", "sim_hot_path_1p3x",
+                  "merge_bit_identical", "resume_bit_identical",
+                  "routing_bit_identical", "routing_incremental_2x",
+                  "sim_bit_identical", "sim_event_3x",
                   "finalist_parallel_identical")
 
 

@@ -57,27 +57,28 @@ mapping::CoreGraph read_core_graph(std::istream& in) {
       std::string name;
       std::string second;
       if (!(tokens >> name >> second)) fail(line, "core needs a name and shape");
+      fplan::BlockShape shape;
       if (second == "hard") {
         std::string w, h;
         if (!(tokens >> w >> h)) fail(line, "hard core needs width height");
-        app->add_core(name, fplan::BlockShape::hard_block(
-                                parse_number(w, line),
-                                parse_number(h, line)));
+        shape = fplan::BlockShape::hard_block(parse_number(w, line),
+                                              parse_number(h, line));
       } else if (second == "soft") {
         std::string area, lo, hi;
         if (!(tokens >> area >> lo >> hi)) {
           fail(line, "soft core needs area min_aspect max_aspect");
         }
-        auto shape =
-            fplan::BlockShape::soft_block(parse_number(area, line));
+        shape = fplan::BlockShape::soft_block(parse_number(area, line));
         shape.min_aspect = parse_number(lo, line);
         shape.max_aspect = parse_number(hi, line);
-        if (shape.min_aspect <= 0.0 || shape.max_aspect < shape.min_aspect) {
-          fail(line, "invalid aspect range");
-        }
-        app->add_core(name, shape);
       } else {
-        app->add_core(name, parse_number(second, line));
+        shape = fplan::BlockShape::soft_block(parse_number(second, line));
+      }
+      // CoreGraph owns the size and aspect rules; its refusal gets the line.
+      try {
+        app->add_core(name, shape);
+      } catch (const std::invalid_argument& e) {
+        fail(line, e.what());
       }
     } else if (keyword == "flow") {
       if (!app.has_value()) fail(line, "flow before app statement");

@@ -23,7 +23,10 @@ namespace sunmap::io {
 ///   core memory hard 2.2 2.3
 ///   flow arm memory 200
 ///
-/// Parse errors throw std::runtime_error with the offending line number.
+/// Every area, width, height and bandwidth must be positive and finite,
+/// and a soft block's aspect range must satisfy 0 < min <= max < inf.
+/// Parse errors, and CoreGraph's refusals of such numbers, throw
+/// std::runtime_error with the offending line number.
 mapping::CoreGraph read_core_graph(std::istream& in);
 
 /// Reads a core graph from a file path.

@@ -40,7 +40,6 @@ constexpr RequestField kFields[] = {
     {"w_delay", "--w-delay", Kind::kValue},
     {"w_area", "--w-area", Kind::kValue},
     {"w_power", "--w-power", Kind::kValue},
-    {"sim_engine", "--sim-engine", Kind::kValue},
     {"sim_finalists", "--sim-finalists", Kind::kValue, 1024},
     {"sim_validate", "--sim-validate", Kind::kSwitch},
     {"sim_rank", "--sim-rank", Kind::kSwitch},
@@ -375,9 +374,6 @@ BuiltRequest build_request(const RequestFields& fields, RequestShape shape) {
   read("fault_seed", base.faults.spec.seed, parse_seed);
   read("fault_mode", base.faults.aggregation, parse_fault_mode);
   read("fault_penalty", base.faults.infeasible_penalty, parse_real);
-  read("sim_engine", base.sim_use_event_engine, [](S text, S name) {
-    return parse_choice<bool>(text, name, {{"event", true}, {"cycle", false}});
-  });
   read("sim_seed", base.sim_seed, parse_seed);
   read("sim_traffic", base.sim_traffic, [](S text, S name) {
     return parse_choice<mapping::SimTraffic>(

@@ -1,13 +1,37 @@
 #include "mapping/core_graph.h"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 namespace sunmap::mapping {
 
 CoreGraph::CoreGraph(std::string name) : name_(std::move(name)) {}
 
+namespace {
+
+bool positive_finite(double value) {
+  return value > 0.0 && std::isfinite(value);
+}
+
+}  // namespace
+
 int CoreGraph::add_core(std::string name, fplan::BlockShape shape) {
+  if (!positive_finite(shape.area_mm2)) {
+    throw std::invalid_argument("CoreGraph: core " + name +
+                                " needs a positive finite area");
+  }
+  if (!shape.soft && !(positive_finite(shape.width_mm) &&
+                        positive_finite(shape.height_mm))) {
+    throw std::invalid_argument("CoreGraph: core " + name +
+                                " needs a positive finite width and height");
+  }
+  if (shape.soft && !(positive_finite(shape.min_aspect) &&
+                      std::isfinite(shape.max_aspect) &&
+                      shape.max_aspect >= shape.min_aspect)) {
+    throw std::invalid_argument("CoreGraph: core " + name +
+                                " has an invalid aspect range");
+  }
   for (const auto& c : cores_) {
     if (c.name == name) {
       throw std::invalid_argument("CoreGraph: duplicate core name " + name);
@@ -22,8 +46,9 @@ int CoreGraph::add_core(std::string name, double area_mm2) {
 }
 
 void CoreGraph::add_flow(int src_core, int dst_core, double bandwidth_mbps) {
-  if (bandwidth_mbps <= 0.0) {
-    throw std::invalid_argument("CoreGraph: bandwidth must be positive");
+  if (!positive_finite(bandwidth_mbps)) {
+    throw std::invalid_argument(
+        "CoreGraph: bandwidth must be positive and finite");
   }
   if (graph_.has_edge(src_core, dst_core)) {
     throw std::invalid_argument("CoreGraph: duplicate flow");

@@ -26,14 +26,17 @@ class CoreGraph {
  public:
   explicit CoreGraph(std::string name);
 
-  /// Adds a core with an explicit block shape; returns its index.
+  /// Adds a core with an explicit block shape; returns its index. Throws
+  /// std::invalid_argument on a duplicate name, an area that is not
+  /// positive and finite, a hard block whose width or height is not, or a
+  /// soft block whose aspect range is not 0 < min <= max < inf.
   int add_core(std::string name, fplan::BlockShape shape);
   /// Adds a soft-block core with the given area.
   int add_core(std::string name, double area_mm2);
 
   /// Adds the directed communication edge e_{i,j} with bandwidth comm_{i,j}
   /// (MB/s). Throws if an edge between the pair already exists in this
-  /// direction or the bandwidth is not positive.
+  /// direction or the bandwidth is not positive and finite.
   void add_flow(int src_core, int dst_core, double bandwidth_mbps);
 
   [[nodiscard]] const std::string& name() const { return name_; }

@@ -37,8 +37,6 @@ bool same_evaluation_class(const MapperConfig& a, const MapperConfig& b) {
   // The raw per-scenario degraded metrics cached alongside the fault-free
   // ones depend on which scenarios exist (aggregation mode and penalty do
   // not — they only enter the re-derived cost — but the spec does).
-  // incremental_fault_eval is deliberately absent: like
-  // incremental_floorplan, both settings produce bit-identical metrics.
   if (!(a.faults.spec == b.faults.spec)) return false;
   return true;
 }
@@ -222,16 +220,10 @@ void EvalContext::build_static_routes(
 
 void EvalContext::build_fault_tables() {
   fault_scenarios_ = fault::materialize(config_.faults.spec, topology_);
-  fault_masks_.clear();
   fault_bfs_.clear();
   if (fault_scenarios_.empty()) return;
 
   const auto& g = topology_.switch_graph();
-  fault_masks_.resize(fault_scenarios_.size());
-  for (std::size_t s = 0; s < fault_scenarios_.size(); ++s) {
-    fault::make_mask(g, fault_scenarios_[s], fault_masks_[s]);
-  }
-
   // One BFS per (scenario, distinct ingress switch): every commodity's
   // degraded route is then an O(path length) parent walk, shared by all
   // commodities injecting at that switch. Storing parent arrays instead of
@@ -243,10 +235,12 @@ void EvalContext::build_fault_tables() {
     is_ingress[static_cast<std::size_t>(topology_.ingress_switch(slot))] = 1;
   }
   fault_bfs_.resize(fault_scenarios_.size() * num_switches);
+  fault::ScenarioMask mask;
   for (std::size_t s = 0; s < fault_scenarios_.size(); ++s) {
+    fault::make_mask(g, fault_scenarios_[s], mask);
     for (std::size_t sw = 0; sw < num_switches; ++sw) {
       if (is_ingress[sw] == 0) continue;
-      fault::masked_bfs(g, static_cast<graph::NodeId>(sw), fault_masks_[s],
+      fault::masked_bfs(g, static_cast<graph::NodeId>(sw), mask,
                         fault_bfs_[s * num_switches + sw]);
     }
   }
@@ -505,16 +499,14 @@ Evaluation EvalContext::evaluate(const std::vector<int>& core_to_slot,
       total_value_ > 0.0 ? weighted_latency_ps / total_value_ / 1000.0 : 0.0;
 
   // ---- Degraded modes: every commodity re-routed under each scenario. ----
-  // The incremental path walks the prebuilt per-(scenario, ingress) BFS
-  // parents; the reference path re-runs the identical BFS per commodity.
-  // Both extract through fault::extract_path, so the routes — and all the
-  // arithmetic below — are bit-identical between the two. Disconnection is
-  // a recorded verdict, never an exception: the search keeps moving.
+  // Each commodity walks the prebuilt per-(scenario, ingress) BFS parents
+  // through fault::extract_path, the same extraction Mapper::evaluate runs
+  // on a fresh BFS. Disconnection is a recorded verdict, never an
+  // exception: the search keeps moving.
   if (!fault_scenarios_.empty()) {
     const auto num_switches_sz = static_cast<std::size_t>(num_switches);
     eval.fault_outcomes.resize(fault_scenarios_.size());
     for (std::size_t s = 0; s < fault_scenarios_.size(); ++s) {
-      const fault::ScenarioMask& mask = fault_masks_[s];
       auto& outcome = eval.fault_outcomes[s];
       outcome = Evaluation::FaultScenarioOutcome{};
       outcome.weight = fault_scenarios_[s].weight;
@@ -528,16 +520,9 @@ Evaluation EvalContext::evaluate(const std::vector<int>& core_to_slot,
             core_to_slot[static_cast<std::size_t>(commodity.dst_core)];
         const graph::NodeId ingress = topology_.ingress_switch(src_slot);
         const graph::NodeId egress = topology_.egress_switch(dst_slot);
-        const fault::MaskedBfs* bfs;
-        if (config_.incremental_fault_eval) {
-          bfs = &fault_bfs_[s * num_switches_sz +
-                            static_cast<std::size_t>(ingress)];
-        } else {
-          fault::masked_bfs(g, ingress, mask, scratch.fault_bfs);
-          bfs = &scratch.fault_bfs;
-        }
-        if (!fault::extract_path(g, *bfs, ingress, egress,
-                                 scratch.fault_path)) {
+        const fault::MaskedBfs& bfs =
+            fault_bfs_[s * num_switches_sz + static_cast<std::size_t>(ingress)];
+        if (!fault::extract_path(g, bfs, ingress, egress, scratch.fault_path)) {
           outcome.connected = false;
           continue;
         }
@@ -616,15 +601,9 @@ Evaluation EvalContext::evaluate(const std::vector<int>& core_to_slot,
           const graph::NodeId ingress = topology_.ingress_switch(src_slot);
           const graph::NodeId egress = topology_.egress_switch(
               core_to_slot[static_cast<std::size_t>(commodity.dst_core)]);
-          const fault::MaskedBfs* bfs;
-          if (config_.incremental_fault_eval) {
-            bfs = &fault_bfs_[s * num_switches_sz +
-                              static_cast<std::size_t>(ingress)];
-          } else {
-            fault::masked_bfs(g, ingress, fault_masks_[s], scratch.fault_bfs);
-            bfs = &scratch.fault_bfs;
-          }
-          if (!fault::extract_path(g, *bfs, ingress, egress,
+          const fault::MaskedBfs& bfs = fault_bfs_[
+              s * num_switches_sz + static_cast<std::size_t>(ingress)];
+          if (!fault::extract_path(g, bfs, ingress, egress,
                                    scratch.fault_path)) {
             continue;
           }
@@ -666,31 +645,7 @@ const fplan::Floorplan& EvalContext::floorplan_for_mapping(
     }
     g_floorplan_misses.fetch_add(1, std::memory_order_relaxed);
   }
-  // Cache miss. The reference (non-incremental) path pays a from-scratch
-  // Floorplanner::place — it exists so the annealing_incremental bench
-  // invariant and the transactional-equivalence tests can measure the
-  // incremental engine against the exact arithmetic it must reproduce.
-  if (!config_.incremental_floorplan) {
-    scratch.core_shapes.assign(static_cast<std::size_t>(num_slots),
-                               std::nullopt);
-    for (int slot = 0; slot < num_slots; ++slot) {
-      const std::uint16_t cls =
-          scratch.floor_key[static_cast<std::size_t>(slot)];
-      if (cls > 0) {
-        scratch.core_shapes[static_cast<std::size_t>(slot)] =
-            class_shapes_[static_cast<std::size_t>(cls - 1)];
-      }
-    }
-    scratch.fplan_result = fplan::Floorplanner(config_.floorplan)
-                               .place(placement_, scratch.core_shapes,
-                                      switch_shapes_);
-    std::unique_lock<std::shared_mutex> lock(cache_mutex_);
-    if (floorplan_cache_.size() < kFloorplanCacheCap) {
-      floorplan_cache_.emplace(scratch.floor_key, scratch.fplan_result);
-    }
-    return scratch.fplan_result;
-  }
-  // Incremental path: solve through this thread's session, sending only the
+  // Cache miss: solve through this thread's session, sending only the
   // slots whose shape class moved since the session's last solve — a
   // pairwise swap perturbs at most two. Shape classes map to bit-identical
   // shapes, so updating by class representative equals updating by the

@@ -38,11 +38,9 @@ struct EvalScratch {
   std::vector<double> core_cx, core_cy, switch_cx, switch_cy;
   /// Per-slot shape-class ids (0 = empty slot) — the floorplan cache key.
   std::vector<std::uint16_t> floor_key;
-  /// Degraded-mode routing buffers: the reference fault path re-runs its
-  /// masked BFS here per (scenario, commodity), and both paths extract the
-  /// commodity's surviving route into fault_path. fault_loads accumulates
-  /// per-scenario link loads on materialized evaluations.
-  fault::MaskedBfs fault_bfs;
+  /// Degraded-mode routing buffers: each commodity's surviving route is
+  /// extracted into fault_path, and fault_loads accumulates per-scenario
+  /// link loads on materialized evaluations.
   graph::Path fault_path;
   std::vector<double> fault_loads;
   /// Column/row accumulators of the area lower bound (phase-1 pruning).
@@ -72,10 +70,6 @@ struct EvalScratch {
   /// Per-slot shape classes the session currently holds (the delta base).
   std::vector<std::uint16_t> fplan_session_key;
   std::vector<fplan::SlotShapeUpdate> fplan_updates;  ///< Reusable delta buffer.
-  /// Home of the latest floorplan computed outside the session and the
-  /// cache (the non-incremental reference path, or a miss past the cache
-  /// cap) — floorplan_for_mapping returns references, never copies.
-  fplan::Floorplan fplan_result;
 
   /// This thread's incremental routing session (split-all only: the static
   /// kinds read the context's route tables and minimum-path re-routes from
@@ -333,9 +327,9 @@ class EvalContext {
   /// Returns a reference instead of a copy — the search loops only read
   /// scalars and block centres from it. The reference points at a cache
   /// entry (stable: entries are never evicted, only cleared by rebind(),
-  /// which must not run concurrently with evaluations), at the scratch's
-  /// session solution, or at scratch.fplan_result; it stays valid until
-  /// this scratch's next evaluation or floorplan query.
+  /// which must not run concurrently with evaluations) or at the scratch's
+  /// session solution; it stays valid until this scratch's next evaluation
+  /// or floorplan query.
   [[nodiscard]] const fplan::Floorplan& floorplan_for_mapping(
       const std::vector<int>& core_to_slot, EvalScratch& scratch) const;
 
@@ -410,13 +404,12 @@ class EvalContext {
   bool static_routing_ = false;
 
   /// Fault state, rebuilt by bind() when the configuration's FaultSet moved:
-  /// the scenarios materialized against this topology, their aliveness
-  /// masks, and the per-(scenario, ingress switch) BFS tables, indexed
-  /// [scenario * num_switches + ingress] (entries for switches no slot
-  /// injects from stay empty). All immutable between binds, so concurrent
-  /// search workers share them lock-free.
+  /// the scenarios materialized against this topology and the
+  /// per-(scenario, ingress switch) BFS tables over their surviving
+  /// subgraphs, indexed [scenario * num_switches + ingress] (entries for
+  /// switches no slot injects from stay empty). All immutable between
+  /// binds, so concurrent search workers share them lock-free.
   std::vector<fault::FaultScenario> fault_scenarios_;
-  std::vector<fault::ScenarioMask> fault_masks_;
   std::vector<fault::MaskedBfs> fault_bfs_;
 
   /// Precomputed geometry of the area/power lower bounds, derived from the

@@ -529,7 +529,9 @@ std::vector<int> Mapper::greedy_initial_mapping(
                 topology.min_switch_hops(
                     core_to_slot[static_cast<std::size_t>(other)], s);
       }
-      if (cost < best_cost) {
+      // The first free slot stands in until a cheaper one shows up, so a
+      // cost that overflows to infinity still places the core.
+      if (best_slot < 0 || cost < best_cost) {
         best_cost = cost;
         best_slot = s;
       }
@@ -545,11 +547,6 @@ std::vector<int> Mapper::greedy_initial_mapping(
 MappingResult Mapper::map(const CoreGraph& app,
                           const topo::Topology& topology) const {
   const EvalContext ctx = make_context(app, topology);
-  EvalScratch scratch;
-  return map(ctx, scratch);
-}
-
-MappingResult Mapper::map(const EvalContext& ctx) const {
   EvalScratch scratch;
   return map(ctx, scratch);
 }

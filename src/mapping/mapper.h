@@ -117,30 +117,12 @@ struct MapperConfig {
   /// bit-identical.
   bool bound_pruning = true;
 
-  /// Master switch for incremental floorplanning: with it on (the default),
-  /// floorplan-cache misses solve through the scratch's persistent
-  /// fplan::FloorplanSession — delta updates, and push/pop speculation
-  /// frames under the search's DeltaTxn protocol — while off makes every
-  /// miss pay a from-scratch Floorplanner::place. Results are bit-identical
-  /// either way (the session contract); the off position is the reference
-  /// the annealing_incremental bench invariant and the transactional
-  /// equivalence tests measure against.
-  bool incremental_floorplan = true;
-
   /// Fault scenarios to evaluate every candidate mapping under, plus how
   /// their degraded costs aggregate into the search objective (fault/fault.h).
   /// The default (empty) keeps evaluation bit-identical to a fault-unaware
   /// run. The spec is topology-independent; each EvalContext materializes it
   /// against its own topology, so one configuration sweeps a whole library.
   fault::FaultSet faults;
-
-  /// Master switch for incremental per-scenario fault re-evaluation: with it
-  /// on (the default), each evaluation reads the per-(scenario, ingress
-  /// switch) masked-BFS tables the context prebuilt at bind, while off
-  /// re-runs the BFS per commodity — the from-scratch reference the
-  /// fault_incremental_2x bench invariant measures against. Both paths
-  /// extract paths through the same code, so results are bit-identical.
-  bool incremental_fault_eval = true;
 
   /// Sub-flows for split-across-all-paths routing.
   int split_chunks = 16;
@@ -163,13 +145,11 @@ struct MapperConfig {
   /// sequential search. 1 (the default) runs fully sequential.
   int num_threads = 1;
 
-  /// Simulator-backed finalist tier (consumed by the explorer and the CLI,
-  /// not by Mapper::map itself; ExplorationRequest::sim_finalists and
-  /// sim_rank choose how many finalists to simulate and whether to re-rank
-  /// them). Simulation engine for the finalist tier and --sim-validate: the
-  /// event-driven engine (default) or the cycle-stepped reference. Both are
-  /// bit-identical; the flag exists for A/B checks and perf probes.
-  bool sim_use_event_engine = true;
+  // Simulator-backed finalist tier (consumed by the explorer and the CLI,
+  // not by Mapper::map itself; ExplorationRequest::sim_finalists and
+  // sim_rank choose how many finalists to simulate and whether to re-rank
+  // them). The tier runs sim::SimConfig's default event-driven engine.
+
   /// MB/s -> flits/cycle conversion for the simulated application trace
   /// (sim::TraceTraffic's scaling knob).
   double sim_flits_per_cycle_per_gbps = 0.05;
@@ -323,13 +303,6 @@ class Mapper {
   /// between concurrent map() calls.
   [[nodiscard]] MappingResult map(const EvalContext& ctx,
                                   EvalScratch& scratch) const;
-
-  /// Compatibility shim for the pre-session API: constructs a throwaway
-  /// scratch per call, so the incremental sessions are rebuilt every time.
-  /// Prefer map(ctx, scratch) with a scratch that outlives the call.
-  [[deprecated("use map(ctx, scratch) — a throwaway scratch rebuilds the "
-               "incremental sessions on every call")]] [[nodiscard]]
-  MappingResult map(const EvalContext& ctx) const;
 
   /// Builds the incremental evaluation engine for one (application,
   /// topology) pair under this mapper's configuration. The returned context

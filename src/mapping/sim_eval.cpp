@@ -7,9 +7,6 @@ namespace sunmap::mapping {
 
 SimTierOptions sim_tier_options(const MapperConfig& config) {
   SimTierOptions options;
-  options.config.engine = config.sim_use_event_engine
-                              ? sim::SimEngine::kEventDriven
-                              : sim::SimEngine::kCycleStepped;
   options.config.seed = config.sim_seed;
   options.flits_per_cycle_per_gbps = config.sim_flits_per_cycle_per_gbps;
   options.traffic = config.sim_traffic;

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "mapping/core_graph.h"
 
 namespace sunmap::mapping {
@@ -45,6 +47,8 @@ TEST(CoreGraph, FlowValidation) {
   app.add_flow(0, 1, 10.0);
   EXPECT_THROW(app.add_flow(0, 1, 5.0), std::invalid_argument);  // duplicate
   EXPECT_THROW(app.add_flow(1, 0, 0.0), std::invalid_argument);  // zero bw
+  EXPECT_THROW(app.add_flow(1, 0, std::nan("")), std::invalid_argument);
+  EXPECT_THROW(app.add_flow(1, 0, HUGE_VAL), std::invalid_argument);
   EXPECT_THROW(app.add_flow(0, 0, 5.0), std::invalid_argument);  // self loop
   app.add_flow(1, 0, 5.0);  // reverse direction is a distinct flow
   EXPECT_EQ(app.num_flows(), 2);

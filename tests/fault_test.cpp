@@ -322,6 +322,21 @@ void expect_fault_identical(const mapping::Evaluation& a,
   }
 }
 
+/// Evaluates `mapping` through a fresh EvalContext and through the
+/// from-scratch Mapper::evaluate() reference, which must agree bit for bit.
+void expect_context_matches_reference(const mapping::CoreGraph& app,
+                                      const topo::Topology& topology,
+                                      const std::vector<int>& mapping,
+                                      const mapping::MapperConfig& config) {
+  const mapping::Mapper mapper(config);
+  const auto reference = mapper.evaluate(app, topology, mapping);
+  ASSERT_FALSE(reference.fault_outcomes.empty());
+  const auto ctx = mapper.make_context(app, topology);
+  mapping::EvalScratch scratch;
+  const auto cached = ctx.evaluate(mapping, scratch);
+  expect_fault_identical(reference, cached);
+}
+
 TEST(FaultEval, ContextMatchesFromScratchReferenceUnderFaults) {
   // The cached EvalContext fault path (prebuilt per-scenario BFS tables)
   // must reproduce the from-scratch Mapper::evaluate() reference bit for
@@ -358,49 +373,24 @@ TEST(FaultEval, ContextMatchesFromScratchReferenceUnderFaults) {
         config.faults.spec.faults_per_scenario = 1;
         config.faults.spec.seed = 7;
         config.faults.aggregation = aggregation;
-        const mapping::Mapper mapper(config);
-        const auto reference = mapper.evaluate(app, *topology, mapping);
-        const auto ctx = mapper.make_context(app, *topology);
-        mapping::EvalScratch scratch;
-        const auto cached = ctx.evaluate(mapping, scratch);
         SCOPED_TRACE(std::string(topology->name()) + " / " +
                      mapping::to_string(objective) + " / " +
                      to_string(aggregation));
-        expect_fault_identical(reference, cached);
+        expect_context_matches_reference(app, *topology, mapping, config);
       }
     }
   }
-}
 
-TEST(FaultEval, IncrementalAndReferenceFaultPathsAreBitIdentical) {
-  // incremental_fault_eval only changes where the BFS parent tables come
-  // from (prebuilt at bind vs re-run per evaluation); the deterministic
-  // BFS makes the two evaluations equal bit for bit.
-  const auto app = apps::mwd();
-  const auto mesh = topo::make_mesh_for(app.num_cores());
-  std::vector<int> mapping;
-  for (int core = 0; core < app.num_cores(); ++core) mapping.push_back(core);
-
-  mapping::MapperConfig incremental;
-  incremental.faults.spec.kind = FaultSpec::Kind::kEveryLink;
-  mapping::MapperConfig reference = incremental;
-  reference.incremental_fault_eval = false;
-
-  const mapping::Mapper inc_mapper(incremental);
-  const mapping::Mapper ref_mapper(reference);
-  mapping::EvalScratch inc_scratch;
-  mapping::EvalScratch ref_scratch;
-  const auto inc_ctx = inc_mapper.make_context(app, *mesh);
-  const auto ref_ctx = ref_mapper.make_context(app, *mesh);
-  const auto inc = inc_ctx.evaluate(mapping, inc_scratch);
-  const auto ref = ref_ctx.evaluate(mapping, ref_scratch);
-  expect_fault_identical(inc, ref);
-
-  // And the full search lands on the same mapping either way.
-  const auto inc_result = inc_mapper.map(app, *mesh);
-  const auto ref_result = ref_mapper.map(app, *mesh);
-  EXPECT_EQ(inc_result.core_to_slot, ref_result.core_to_slot);
-  EXPECT_EQ(inc_result.eval.cost, ref_result.eval.cost);
+  // Exhaustive N-1 link faults on the MWD mesh: every physical channel's
+  // scenario reads its own prebuilt BFS table.
+  const auto mwd = apps::mwd();
+  const auto mesh = topo::make_mesh_for(mwd.num_cores());
+  std::vector<int> identity;
+  for (int core = 0; core < mwd.num_cores(); ++core) identity.push_back(core);
+  mapping::MapperConfig every_link;
+  every_link.faults.spec.kind = FaultSpec::Kind::kEveryLink;
+  SCOPED_TRACE("mwd / every link");
+  expect_context_matches_reference(mwd, *mesh, identity, every_link);
 }
 
 TEST(FaultEval, EmptyFaultSetLeavesEvaluationUntouched) {

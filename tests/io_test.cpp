@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "apps/apps.h"
 #include "io/core_graph_io.h"
+#include "util/prng.h"
 
 namespace sunmap::io {
 namespace {
@@ -113,6 +117,129 @@ TEST(CoreGraphIo, RoundTripsBuiltinApps) {
                   1e-9);
     }
   }
+}
+
+TEST(CoreGraphIo, RejectsNonFiniteAndNonPositiveNumbersByLine) {
+  // Each graph is valid but for one number; the refusal names its line.
+  struct Case {
+    const char* line2;
+    const char* flow_ab;
+  };
+  const Case cases[] = {
+      {"core a 1", "inf"},         {"core a 1", "nan"},
+      {"core a 1", "-inf"},        {"core a 1", "0"},
+      {"core a -3", "100"},        {"core a nan", "100"},
+      {"core a inf", "100"},       {"core a hard -1 2", "100"},
+      {"core a hard -1 -2", "100"}, {"core a hard 2 nan", "100"},
+      {"core a soft 5 nan nan", "100"}, {"core a soft 5 0.5 inf", "100"},
+      {"core a soft 0 0.5 2", "100"},
+  };
+  for (const auto& c : cases) {
+    const std::string flow_line = std::string("flow a b ") + c.flow_ab;
+    std::istringstream in(std::string("app t\n") + c.line2 +
+                          "\ncore b 1\ncore c 1\n" + flow_line +
+                          "\nflow b c 50\n");
+    const std::string bad_line = std::string(c.line2) == "core a 1"
+                                     ? "core graph line 5: "
+                                     : "core graph line 2: ";
+    try {
+      (void)read_core_graph(in);
+      ADD_FAILURE() << c.line2 << " / " << flow_line << " was accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()).rfind(bad_line, 0), 0u) << e.what();
+    }
+  }
+}
+
+/// Every number of a parsed graph that the mapper divides, sums or sizes
+/// by is positive and finite.
+void expect_valid_graph(const mapping::CoreGraph& app) {
+  const auto positive_finite = [](double x) {
+    return x > 0.0 && std::isfinite(x);
+  };
+  for (int c = 0; c < app.num_cores(); ++c) {
+    const auto& shape = app.core(c).shape;
+    EXPECT_TRUE(positive_finite(shape.area_mm2)) << shape.area_mm2;
+    if (shape.soft) {
+      EXPECT_TRUE(positive_finite(shape.min_aspect));
+      EXPECT_TRUE(std::isfinite(shape.max_aspect));
+      EXPECT_GE(shape.max_aspect, shape.min_aspect);
+    } else {
+      EXPECT_TRUE(positive_finite(shape.width_mm));
+      EXPECT_TRUE(positive_finite(shape.height_mm));
+    }
+  }
+  for (const auto& edge : app.graph().edges()) {
+    EXPECT_TRUE(positive_finite(edge.weight)) << edge.weight;
+  }
+}
+
+/// One seeded mutation of a core-graph text: a truncation, a byte flip, or
+/// one numeric token replaced by a hostile number.
+std::string mutate(const std::string& text, util::Prng& prng) {
+  const auto pick = [&](std::size_t n) {
+    return static_cast<std::size_t>(prng.next_below(n));
+  };
+  switch (prng.next_below(3)) {
+    case 0:
+      return text.substr(0, pick(text.size() + 1));
+    case 1: {
+      if (text.empty()) return text;
+      std::string out = text;
+      out[pick(out.size())] = static_cast<char>(prng.next_below(256));
+      return out;
+    }
+    default: {
+      // Start offsets of the tokens that begin like a number.
+      std::vector<std::size_t> numbers;
+      for (std::size_t at = 0; at < text.size(); ++at) {
+        const bool starts = at == 0 || text[at - 1] == ' ' ||
+                            text[at - 1] == '\n';
+        const char ch = text[at];
+        if (starts && ((ch >= '0' && ch <= '9') || ch == '-' || ch == '.')) {
+          numbers.push_back(at);
+        }
+      }
+      if (numbers.empty()) return text;
+      static const char* kHostile[] = {"nan", "inf", "-1", "0", "1e309"};
+      const std::size_t at = numbers[pick(numbers.size())];
+      const std::size_t end = text.find_first_of(" \n", at);
+      std::string out = text;
+      out.replace(at, (end == std::string::npos ? text.size() : end) - at,
+                  kHostile[pick(std::size(kHostile))]);
+      return out;
+    }
+  }
+}
+
+TEST(CoreGraphIo, HostileMutationsEndInAValidGraphOrANamedError) {
+  std::vector<std::string> corpus;
+  for (const auto& app : {apps::vopd(), apps::mpeg4(), apps::dsp_filter(),
+                          apps::netproc16(), apps::pip(), apps::mwd()}) {
+    corpus.push_back(core_graph_to_string(app));
+  }
+  util::Prng prng(18);
+  int refused = 0;
+  constexpr int kCases = 4000;
+  for (int i = 0; i < kCases; ++i) {
+    std::string text = corpus[prng.next_below(corpus.size())];
+    const auto mutations = 1 + prng.next_below(3);
+    for (std::uint64_t m = 0; m < mutations; ++m) text = mutate(text, prng);
+    std::istringstream in(text);
+    try {
+      expect_valid_graph(read_core_graph(in));
+    } catch (const std::runtime_error& e) {
+      ++refused;
+      EXPECT_EQ(std::string(e.what()).rfind("core graph", 0), 0u) << e.what();
+    }
+    if (::testing::Test::HasFailure()) {
+      ADD_FAILURE() << "case " << i << ":\n" << text;
+      return;
+    }
+  }
+  // Both outcomes occur: the mutations are neither all benign nor all fatal.
+  EXPECT_GT(refused, kCases / 10);
+  EXPECT_LT(refused, kCases);
 }
 
 TEST(CoreGraphIo, MissingFileThrows) {

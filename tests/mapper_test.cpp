@@ -10,16 +10,17 @@
 namespace sunmap::mapping {
 namespace {
 
-/// Four cores in a simple pipeline a -> b -> c -> d.
-CoreGraph pipeline4() {
+/// Four cores in a simple pipeline a -> b -> c -> d, flows scaled by
+/// `scale`.
+CoreGraph pipeline4(double scale = 1.0) {
   CoreGraph app("pipeline4");
   app.add_core("a", 2.0);
   app.add_core("b", 2.0);
   app.add_core("c", 2.0);
   app.add_core("d", 2.0);
-  app.add_flow(0, 1, 300.0);
-  app.add_flow(1, 2, 200.0);
-  app.add_flow(2, 3, 100.0);
+  app.add_flow(0, 1, 300.0 * scale);
+  app.add_flow(1, 2, 200.0 * scale);
+  app.add_flow(2, 3, 100.0 * scale);
   return app;
 }
 
@@ -129,15 +130,22 @@ TEST(MapperConfig, ValidateRejectsEachBadField) {
 }
 
 TEST(Mapper, MappingIsInjective) {
-  const auto app = pipeline4();
   const auto mesh = topo::make_mesh_for(4);
-  Mapper mapper;
-  const auto result = mapper.map(app, *mesh);
-  std::set<int> slots(result.core_to_slot.begin(), result.core_to_slot.end());
-  EXPECT_EQ(slots.size(), 4u);
-  for (int slot : result.core_to_slot) {
-    EXPECT_GE(slot, 0);
-    EXPECT_LT(slot, mesh->num_slots());
+  // The second graph's finite flows overflow the greedy placement's
+  // hop-weighted slot costs to infinity; every core still gets a slot.
+  MapperConfig overflow;
+  overflow.routing = route::RoutingKind::kDimensionOrdered;
+  for (const auto& [app, config] :
+       {std::pair{pipeline4(), MapperConfig{}},
+        std::pair{pipeline4(5e305), overflow}}) {
+    const auto result = Mapper(config).map(app, *mesh);
+    std::set<int> slots(result.core_to_slot.begin(),
+                        result.core_to_slot.end());
+    EXPECT_EQ(slots.size(), 4u);
+    for (int slot : result.core_to_slot) {
+      EXPECT_GE(slot, 0);
+      EXPECT_LT(slot, mesh->num_slots());
+    }
   }
 }
 

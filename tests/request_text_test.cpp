@@ -64,7 +64,6 @@ std::string signature(const BuiltRequest& built) {
          std::to_string(r.num_threads) + "|" +
          std::to_string(r.sim_finalists) + "|" + std::to_string(r.sim_rank) +
          "|" + std::to_string(built.extensions) + "|" +
-         std::to_string(r.base.sim_use_event_engine) + "|" +
          std::to_string(r.base.sim_seed) + "|" +
          mapping::to_string(r.base.sim_traffic) + "|" +
          std::to_string(r.base.sim_burst_len) + "|" +
@@ -165,6 +164,14 @@ TEST(RequestText, CountFieldsAreBoundedByName) {
 TEST(RequestText, DaemonTextRefusesUnknownRepeatedAndMalformedLines) {
   EXPECT_THROW((void)parse_request_text("app=vopd\nbogus_key=42\n"),
                RequestError);
+  // The simulator engine is not a request field: the tier always runs the
+  // event-driven engine.
+  try {
+    (void)parse_request_text("app=vopd\nsim_engine=cycle\n");
+    ADD_FAILURE() << "sim_engine was accepted";
+  } catch (const RequestError& e) {
+    EXPECT_STREQ(e.what(), "unknown request field 'sim_engine'");
+  }
   EXPECT_THROW((void)parse_request_text("app=vopd\napp=pip\n"), RequestError);
   EXPECT_THROW((void)parse_request_text("app=vopd\nfaults\n"), RequestError);
   EXPECT_THROW((void)parse_request_text("\n"), RequestError);
@@ -219,7 +226,6 @@ TEST(RequestText, EveryFieldRoundTripsThroughDaemonText) {
       {"--w-delay", "2"},
       {"--w-area", "0.5"},
       {"--w-power", "3"},
-      {"--sim-engine", "cycle"},
       {"--sim-finalists", "2"},
       {"--sim-validate", ""},
       {"--sim-rank", ""},
@@ -261,7 +267,7 @@ std::vector<std::string> grid_texts() {
       "w_power=1.5\nsearches=sa\nreheat=1\n",
       "app=pip\nroutings=DO,MP\nsim_finalists=2\nsim_rank=1\n"
       "sim_traffic=bursty\nsim_seed=4\n",
-      "app=dsp\nroutings=DO\nsim_validate=1\nsim_engine=cycle\n"
+      "app=dsp\nroutings=DO\nsim_validate=1\n"
       "sim_burst_len=20\nsim_burst_duty=0.4\nextensions=1\nthreads=2\n",
   };
 }
@@ -390,7 +396,7 @@ TEST(RequestText, HostileDaemonTextGetsANamedErrorOrERR) {
       "restarts=2\nswap_passes=1\nthreads=1\n",
       "app=dsp\nroutings=DO\nsim_finalists=1\nsim_rank=1\nsim_seed=3\n"
       "sim_traffic=bursty\nsim_burst_len=20\nsim_burst_duty=0.4\n"
-      "sim_engine=event\nextensions=0\nareas=80\n",
+      "extensions=0\nareas=80\n",
   };
   // The parser alone, over many cases.
   util::Prng prng(20041);

@@ -464,36 +464,6 @@ TEST(SimFinalistTier, IsPurelyAdditiveAndDeterministic) {
   }
 }
 
-TEST(SimFinalistTier, EventAndCycleEnginesAgreeBitIdentically) {
-  const auto app = apps::pip();
-  const auto library = topo::standard_library(app.num_cores());
-  select::DesignSpaceExplorer explorer;
-  auto request = tier_request(app, library);
-  request.sim_finalists = 2;
-  request.base.sim_use_event_engine = true;
-  const auto event = explorer.explore(request);
-  request.base.sim_use_event_engine = false;
-  const auto cycle = explorer.explore(request);
-
-  ASSERT_EQ(count_scored(event), count_scored(cycle));
-  ASSERT_GT(count_scored(event), 0u);
-  for (std::size_t p = 0; p < event.results.size(); ++p) {
-    for (std::size_t t = 0;
-         t < event.results[p].selection.candidates.size(); ++t) {
-      const auto& e = event.results[p].selection.candidates[t].sim;
-      const auto& c = cycle.results[p].selection.candidates[t].sim;
-      ASSERT_EQ(e.has_value(), c.has_value());
-      if (!e.has_value()) continue;
-      EXPECT_EQ(e->stats.cycles, c->stats.cycles);
-      EXPECT_EQ(e->stats.packets_delivered, c->stats.packets_delivered);
-      EXPECT_EQ(e->stats.avg_latency_cycles, c->stats.avg_latency_cycles);
-      EXPECT_EQ(e->stats.flit_events, c->stats.flit_events);
-      EXPECT_EQ(e->stats.status, c->stats.status);
-      EXPECT_EQ(e->simulated_latency_cycles, c->simulated_latency_cycles);
-    }
-  }
-}
-
 TEST(SimFinalistTier, RejectsStreamingAndNegativeCounts) {
   const auto app = apps::pip();
   const auto library = topo::standard_library(app.num_cores());

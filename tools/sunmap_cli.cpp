@@ -83,9 +83,6 @@ void usage() {
   --fault-penalty <x> fault-free-cost multiplier charged when a scenario
                       disconnects a commodity; must be >= 1 (default 10)
   --bandwidth <MBps>  link capacity               (default 500)
-  --sim-engine <e>    flit-level simulator core: event (event-driven,
-                      default) | cycle (the cycle-stepped reference; both
-                      engines produce bit-identical statistics)
   --sim-finalists <n> high-fidelity finalist tier: after selection the
                       flit-level simulator re-scores the n best feasible
                       candidates (per objective group in sweeps) under the
@@ -327,10 +324,7 @@ int run_sweep(const mapping::CoreGraph& app, select::ExplorationRequest request,
   // cell, the contention-aware delay next to the zero-load prediction.
   if (request.sim_finalists > 0) {
     std::cout << "Simulated finalists ("
-              << sim::to_string(request.base.sim_use_event_engine
-                                    ? sim::SimEngine::kEventDriven
-                                    : sim::SimEngine::kCycleStepped)
-              << " engine):\n";
+              << sim::to_string(sim::SimConfig{}.engine) << " engine):\n";
     util::Table sims({"point", "topology", "analytical (cyc)",
                       "simulated (cyc)", "model err", "status"});
     for (std::size_t p = 0; p < report->results.size(); ++p) {
